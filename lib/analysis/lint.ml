@@ -93,126 +93,15 @@ let memory ?(planned = false) (m : Irmod.t) : Diag.t list =
   (* vid of a [memory.bind_arena] result -> its slot count, so [plan_slot]
      tensor allocations can be bounds-checked *)
   let plan_slots : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let module Sx = Nimble_shape.Sym_expr in
-  (* The symbolic dialect's soundness obligations on one bind_arena plan:
-     parseable offset/size/total expressions, a binder for every free dim,
-     monotone sizes (a larger dim never shrinks a slot — upper-bound
-     evaluation stays sound), and no slot overlap or arena escape under
-     sampled admissible bindings (zero, the units, a prime, an alignment
-     boundary). *)
+  (* The symbolic dialect's soundness obligations on one bind_arena plan
+     are {!Plan_check}'s, the same the verifier replays on the executable. *)
   let check_bind_arena fname (v : Expr.var) attrs =
-    let parse what s =
-      match Sx.of_string s with
-      | e -> Some e
-      | exception Sx.Parse_error msg ->
-          report fname "bind_arena %%%s: unparseable %s: %s" v.Expr.vname what msg;
-          None
-    in
-    let binder_ints =
-      Option.value ~default:[] (Nimble_ir.Attrs.find_ints attrs "binders")
-    in
-    if List.length binder_ints mod 3 <> 0 then
-      report fname "bind_arena %%%s: binders are not (arg, dim, sym) triples"
-        v.Expr.vname;
-    let rec syms_of = function
-      | _ :: _ :: s :: rest -> s :: syms_of rest
-      | _ -> []
-    in
-    let bound = syms_of binder_ints in
-    let slot_pairs =
-      match Nimble_ir.Attrs.find_str attrs "slots" with
-      | None | Some "" ->
-          report fname "bind_arena %%%s: missing slots" v.Expr.vname;
-          []
-      | Some s ->
-          String.split_on_char ';' s
-          |> List.filter_map (fun pair ->
-                 match String.index_opt pair '|' with
-                 | Some i -> (
-                     match
-                       ( parse "slot offset" (String.sub pair 0 i),
-                         parse "slot size"
-                           (String.sub pair (i + 1) (String.length pair - i - 1))
-                       )
-                     with
-                     | Some o, Some s -> Some (o, s)
-                     | _ -> None)
-                 | None ->
-                     report fname "bind_arena %%%s: malformed slot %S" v.Expr.vname
-                       pair;
-                     None)
-    in
-    let total =
-      match Nimble_ir.Attrs.find_str attrs "total" with
-      | Some s -> parse "total" s
-      | None ->
-          report fname "bind_arena %%%s: missing total" v.Expr.vname;
-          None
-    in
-    let free =
-      List.sort_uniq compare
-        (List.concat_map (fun (o, s) -> Sx.free_dims o @ Sx.free_dims s) slot_pairs
-        @ (match total with Some t -> Sx.free_dims t | None -> []))
-    in
-    List.iter
-      (fun s ->
-        if not (List.mem s bound) then
-          report fname "bind_arena %%%s: symbolic dim s%d has no binder"
-            v.Expr.vname s)
-      free;
-    List.iteri
-      (fun i (_, size) ->
-        if not (Sx.monotone size) then
-          report fname "bind_arena %%%s: slot %d size %s is not monotone in its dims"
-            v.Expr.vname i (Sx.to_string size))
-      slot_pairs;
-    (match total with
-    | Some t when not (Sx.monotone t) ->
-        report fname "bind_arena %%%s: total %s is not monotone in its dims"
-          v.Expr.vname (Sx.to_string t)
-    | _ -> ());
-    (match total with
-    | None -> ()
-    | Some t ->
-        let grid = [ 0; 1; 2; 7; 64 ] in
-        let rec product = function
-          | [] -> [ [] ]
-          | d :: rest ->
-              let tails = product rest in
-              List.concat_map (fun g -> List.map (fun tl -> (d, g) :: tl) tails) grid
-        in
-        let assignments =
-          if List.length free <= 3 then product free
-          else List.map (fun g -> List.map (fun d -> (d, g)) free) grid
-        in
-        List.iter
-          (fun asn ->
-            let env s = Option.value ~default:0 (List.assoc_opt s asn) in
-            let tot = Sx.eval env t in
-            let evaled =
-              List.mapi (fun i (o, s) -> (i, Sx.eval env o, Sx.eval env s)) slot_pairs
-            in
-            List.iter
-              (fun (i, o, s) ->
-                if o < 0 || s < 0 || o + s > tot then
-                  report fname
-                    "bind_arena %%%s: slot %d [%d,%d) escapes the arena total %d"
-                    v.Expr.vname i o (o + s) tot)
-              evaled;
-            List.iter
-              (fun (i, oi, zi) ->
-                List.iter
-                  (fun (j, oj, zj) ->
-                    if j > i && zi > 0 && zj > 0 && oi < oj + zj && oj < oi + zi
-                    then
-                      report fname
-                        "bind_arena %%%s: slots %d and %d overlap under a \
-                         sampled binding"
-                        v.Expr.vname i j)
-                  evaled)
-              evaled)
-          assignments);
-    Hashtbl.replace plan_slots v.Expr.vid (List.length slot_pairs)
+    let report_plan reason = report fname "bind_arena %%%s: %s" v.Expr.vname reason in
+    match Nimble_shape.Arena_plan.of_attrs attrs with
+    | Error msg -> report_plan msg
+    | Ok p ->
+        List.iter report_plan (Plan_check.check p);
+        Hashtbl.replace plan_slots v.Expr.vid (Array.length p.slots)
   in
   (* [env] maps vid -> mkind; [killed] holds vids of killed tensors. Both
      are copied into branch sub-regions so branches check independently. *)
@@ -398,7 +287,7 @@ let memory ?(planned = false) (m : Irmod.t) : Diag.t list =
                   match Nimble_ir.Attrs.find_int attrs "plan_slot" with
                   | Some slot -> (
                       (* a symbolic slot: its overlap/escape obligations are
-                         checked on the plan itself by [check_bind_arena] *)
+                         the plan's, checked by [check_bind_arena] *)
                       match Hashtbl.find_opt plan_slots sv.Expr.vid with
                       | Some nslots when slot < 0 || slot >= nslots ->
                           report fname

@@ -30,7 +30,10 @@ val fusion : Irmod.t -> Diag.t list
     - every dynamically-allocated (non-arena) tensor that does not escape
       the region is killed after its last use (no leaks);
     - arena offsets do not overlap for tensors whose (alias-aware) liveness
-      intervals intersect — the first-fit packing is collision-free.
+      intervals intersect — the first-fit packing is collision-free;
+    - every [memory.bind_arena] decodes through
+      [Nimble_shape.Arena_plan.of_attrs] and passes {!Plan_check.check},
+      and symbolic [plan_slot] indices are within the plan's slots.
 
     Branches are checked as sub-regions, mirroring the planner. *)
 val memory : ?planned:bool -> Irmod.t -> Diag.t list

@@ -217,10 +217,10 @@ let verify_func (exe : Exe.t) (fi : int) : Diag.t list =
             if plan >= Array.length exe.Exe.plans then
               report pc "plan index %d out of bounds (%d plans)" plan
                 (Array.length exe.Exe.plans)
-            else if slot < 0 || slot >= Array.length exe.Exe.plans.(plan).Exe.p_slots
-            then
-              report pc "slot %d out of bounds (plan%d has %d slots)" slot plan
-                (Array.length exe.Exe.plans.(plan).Exe.p_slots)
+            else
+              let nslots = Array.length exe.Exe.plans.(plan).Exe.p_arena.slots in
+              if slot < 0 || slot >= nslots then
+                report pc "slot %d out of bounds (plan%d has %d slots)" slot plan nslots
           end
           else if slot >= 0 then report pc "slot %d without a plan" slot
       | Isa.BindArena { plan_index; _ } ->
@@ -228,18 +228,14 @@ let verify_func (exe : Exe.t) (fi : int) : Diag.t list =
             report pc "plan index %d out of bounds (%d plans)" plan_index
               (Array.length exe.Exe.plans)
           else begin
-            let p = exe.Exe.plans.(plan_index) in
-            if p.Exe.p_func <> fi then
-              report pc "plan%d belongs to fn%d" plan_index p.Exe.p_func;
+            let { Exe.p_func; p_arena } = exe.Exe.plans.(plan_index) in
+            if p_func <> fi then report pc "plan%d belongs to fn%d" plan_index p_func;
             Array.iter
-              (fun (b : Exe.binder) ->
-                if b.Exe.b_arg < 0 || b.Exe.b_arg >= f.Exe.arity then
-                  report pc "plan%d binder reads argument %d (arity %d)"
-                    plan_index b.Exe.b_arg f.Exe.arity
-                else if b.Exe.b_dim < 0 then
-                  report pc "plan%d binder reads negative dim %d" plan_index
-                    b.Exe.b_dim)
-              p.Exe.p_binders
+              (fun { Nimble_shape.Arena_plan.b_arg; _ } ->
+                if b_arg >= f.Exe.arity then
+                  report pc "plan%d binder reads argument %d (arity %d)" plan_index
+                    b_arg f.Exe.arity)
+              p_arena.binders
           end
       | _ -> ())
     code;
@@ -430,108 +426,19 @@ let verify_cross_adt (exe : Exe.t) : Diag.t list =
 
 (* ---- symbolic memory plans: the dialect's soundness obligations ---- *)
 
-module Sym_expr = Nimble_shape.Sym_expr
-
-(* Admissible-binding samples for the plan checks. Exhaustive proof over
-   all dims is undecidable in general; the planner only emits products and
-   alignments of dims (monotone by construction), for which this grid —
-   zero, the units, a small prime, a large power of two — exercises every
-   interesting regime (empty tensors, aliasing at equal sizes, alignment
-   boundaries). *)
-let dim_grid = [ 0; 1; 2; 7; 64 ]
-
-let rec grid_product = function
-  | [] -> [ [] ]
-  | d :: rest ->
-      let tails = grid_product rest in
-      List.concat_map (fun v -> List.map (fun tl -> (d, v) :: tl) tails) dim_grid
-
-let pp_asn ppf asn =
-  Fmt.pf ppf "{%a}"
-    Fmt.(list ~sep:(any ", ") (fun ppf (d, v) -> pf ppf "s%d=%d" d v))
-    asn
-
 let verify_plans (exe : Exe.t) : Diag.t list =
-  let diags = ref [] in
-  Array.iteri
-    (fun pi (p : Exe.plan) ->
-      let report fmt =
-        Fmt.kstr
-          (fun reason ->
-            diags :=
-              Diag.v ~check:"memory_plan" ~where_:(Fmt.str "plan%d" pi) ~pc:(-1)
-                reason
-              :: !diags)
-          fmt
-      in
-      if p.Exe.p_func < 0 || p.Exe.p_func >= Array.length exe.Exe.funcs then
-        report "function index %d out of bounds (%d functions)" p.Exe.p_func
-          (Array.length exe.Exe.funcs);
-      if p.Exe.p_device < 0 || p.Exe.p_device >= num_devices then
-        report "device %d out of bounds (%d devices)" p.Exe.p_device num_devices;
-      if p.Exe.p_align < 1 then report "alignment %d is not positive" p.Exe.p_align;
-      let slots = Array.to_list p.Exe.p_slots in
-      let free =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun (s : Exe.slot) ->
-               Sym_expr.free_dims s.Exe.s_offset @ Sym_expr.free_dims s.Exe.s_size)
-             slots
-          @ Sym_expr.free_dims p.Exe.p_total)
-      in
-      let bound =
-        Array.to_list (Array.map (fun (b : Exe.binder) -> b.Exe.b_sym) p.Exe.p_binders)
-      in
-      List.iter
-        (fun s ->
-          if not (List.mem s bound) then
-            report "symbolic dim s%d has no binder" s)
-        free;
-      List.iteri
-        (fun si (s : Exe.slot) ->
-          if not (Sym_expr.monotone s.Exe.s_size) then
-            report "slot %d size %s is not monotone in its dims" si
-              (Sym_expr.to_string s.Exe.s_size))
-        slots;
-      if not (Sym_expr.monotone p.Exe.p_total) then
-        report "total %s is not monotone in its dims"
-          (Sym_expr.to_string p.Exe.p_total);
-      (* no overlap (and no escape past the arena total) under sampled
-         admissible bindings: full grid up to 3 dims, diagonal beyond *)
-      let assignments =
-        if List.length free <= 3 then grid_product free
-        else List.map (fun v -> List.map (fun d -> (d, v)) free) dim_grid
-      in
-      List.iter
-        (fun asn ->
-          let env s = match List.assoc_opt s asn with Some v -> v | None -> 0 in
-          let total = Sym_expr.eval env p.Exe.p_total in
-          let evaled =
-            List.mapi
-              (fun si (s : Exe.slot) ->
-                (si, Sym_expr.eval env s.Exe.s_offset, Sym_expr.eval env s.Exe.s_size))
-              slots
-          in
-          List.iter
-            (fun (si, off, size) ->
-              if size < 0 then report "slot %d has negative size under %a" si pp_asn asn;
-              if off < 0 || off + size > total then
-                report "slot %d [%d, %d) escapes the arena total %d under %a" si
-                  off (off + size) total pp_asn asn)
-            evaled;
-          List.iteri
-            (fun i (si, oi, zi) ->
-              List.iteri
-                (fun j (sj, oj, zj) ->
-                  if j > i && zi > 0 && zj > 0 && oi < oj + zj && oj < oi + zi
-                  then
-                    report "slots %d and %d overlap ([%d,%d) vs [%d,%d)) under %a"
-                      si sj oi (oi + zi) oj (oj + zj) pp_asn asn)
-                evaled)
-            evaled)
-        assignments)
-    exe.Exe.plans;
-  List.rev !diags
+  let nfuncs = Array.length exe.Exe.funcs in
+  List.concat
+    (List.mapi
+       (fun pi { Exe.p_func; p_arena } ->
+         let diag reason =
+           Diag.v ~check:"memory_plan" ~where_:(Fmt.str "plan%d" pi) ~pc:(-1) reason
+         in
+         (if p_func < 0 || p_func >= nfuncs then
+            [ diag (Fmt.str "function index %d out of bounds (%d functions)" p_func nfuncs) ]
+          else [])
+         @ List.map diag (Plan_check.check p_arena))
+       (Array.to_list exe.Exe.plans))
 
 (* ---- persisted autotune decisions (NMBLEXE4 tune table) ---- *)
 

@@ -23,15 +23,15 @@
       that kernels write only into manifestly-allocated destinations), and
       [AllocTensor] storage operands come from a prior [AllocStorage].
 
-    Beyond the per-function checks it validates the executable's symbolic
-    memory plans and its persisted tune table (NMBLEXE4): every decision
-    must target a declared packed {e kernel} with a positive extent, a
-    tile width in [1, 256], and no duplicate (kernel, extent) rows — a
-    corrupt tune table is rejected at load instead of silently steering
-    live dispatch.
+    Beyond the per-function checks it runs {!Plan_check.check} on every
+    symbolic memory plan, and checks the persisted tune table (NMBLEXE4):
+    every decision must target a declared packed {e kernel} with a
+    positive extent, a tile width in [1, 256], and no duplicate (kernel,
+    extent) rows — a corrupt tune table is rejected at load instead of
+    silently steering live dispatch.
 
-    This subsumes the structural checks of [Nimble_vm.Exe.validate] with
-    path-sensitive ones; see [docs/ANALYSIS.md]. *)
+    It is the executable's only well-formedness checker; see
+    [docs/ANALYSIS.md]. *)
 
 (** Raised by {!verify_exn} (and the loading wrappers) with the full list
     of located violations — the typed rejection the loader surfaces

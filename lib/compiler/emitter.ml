@@ -408,53 +408,10 @@ and compile_op ctx name args attrs : int =
   | "memory.bind_arena" -> (
       match args with
       | [] ->
-          let parse_expr what s =
-            try Nimble_shape.Sym_expr.of_string s
-            with Nimble_shape.Sym_expr.Parse_error msg ->
-              err "%s: bind_arena %s: %s" ctx.fname what msg
-          in
-          let rec triples = function
-            | [] -> []
-            | a :: d :: s :: rest ->
-                { Exe.b_arg = a; b_dim = d; b_sym = s } :: triples rest
-            | _ -> err "%s: bind_arena binders are not (arg, dim, sym) triples" ctx.fname
-          in
-          let binders =
-            triples (Option.value ~default:[] (Attrs.find_ints attrs "binders"))
-          in
-          let slots =
-            match Attrs.find_str attrs "slots" with
-            | None | Some "" -> err "%s: bind_arena without slots" ctx.fname
-            | Some s ->
-                String.split_on_char ';' s
-                |> List.map (fun pair ->
-                       match String.index_opt pair '|' with
-                       | Some i ->
-                           {
-                             Exe.s_offset =
-                               parse_expr "slot offset"
-                                 (String.sub pair 0 i);
-                             s_size =
-                               parse_expr "slot size"
-                                 (String.sub pair (i + 1)
-                                    (String.length pair - i - 1));
-                           }
-                       | None -> err "%s: bind_arena slot %S" ctx.fname pair)
-          in
-          let total =
-            match Attrs.find_str attrs "total" with
-            | Some s -> parse_expr "total" s
-            | None -> err "%s: bind_arena without total" ctx.fname
-          in
           let plan =
-            {
-              Exe.p_func = func_index ctx.st ctx.fname;
-              p_device = Attrs.get_int ~default:0 attrs "device";
-              p_align = Attrs.get_int ~default:64 attrs "alignment";
-              p_binders = Array.of_list binders;
-              p_slots = Array.of_list slots;
-              p_total = total;
-            }
+            match Nimble_shape.Arena_plan.of_attrs attrs with
+            | Ok p_arena -> { Exe.p_func = func_index ctx.st ctx.fname; p_arena }
+            | Error msg -> err "%s: bind_arena: %s" ctx.fname msg
           in
           let plan_index = ctx.st.n_plans in
           ctx.st.plans <- plan :: ctx.st.plans;

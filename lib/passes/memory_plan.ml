@@ -28,6 +28,7 @@
 open Nimble_tensor
 open Nimble_ir
 module Sym_expr = Nimble_shape.Sym_expr
+module Arena_plan = Nimble_shape.Arena_plan
 
 type stats = {
   mutable storages_before : int;
@@ -380,39 +381,29 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
                     running := Sym_expr.add !running d.d_size)
               dev_dyn;
             stats.symbolic_slots <- stats.symbolic_slots + List.length dev_dyn;
-            let slot_list = List.rev !slots in
-            let syms =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun (o, s, _) -> Sym_expr.free_dims o @ Sym_expr.free_dims s)
-                   slot_list
-                @ Sym_expr.free_dims !running)
+            let plan =
+              {
+                Arena_plan.device = dev;
+                align = 64;
+                binders = [||];
+                slots =
+                  Array.of_list
+                    (List.rev_map
+                       (fun (s_offset, s_size, _) -> { Arena_plan.s_offset; s_size })
+                       !slots);
+                total = !running;
+              }
             in
-            let binder_ints =
-              List.concat_map
+            (* one binder per free dim, read from the parameter it came from *)
+            let binders =
+              List.map
                 (fun s ->
-                  let arg, dim = List.assoc s binders in
-                  [ arg; dim; s ])
-                syms
-            in
-            let slots_str =
-              String.concat ";"
-                (List.map
-                   (fun (o, s, _) ->
-                     Sym_expr.to_string o ^ "|" ^ Sym_expr.to_string s)
-                   slot_list)
+                  let b_arg, b_dim = List.assoc s binders in
+                  { Arena_plan.b_arg; b_dim; b_sym = s })
+                (Arena_plan.free_dims plan)
             in
             Expr.op_call
-              ~attrs:
-                [
-                  ("alignment", Attrs.Int 64);
-                  ("device", Attrs.Int dev);
-                  ("dtype", Attrs.Str "uint8");
-                  ("arena", Attrs.Bool true);
-                  ("binders", Attrs.Ints binder_ints);
-                  ("slots", Attrs.Str slots_str);
-                  ("total", Attrs.Str (Sym_expr.to_string !running));
-                ]
+              ~attrs:(Arena_plan.to_attrs { plan with binders = Array.of_list binders })
               "memory.bind_arena" []
           end
         in

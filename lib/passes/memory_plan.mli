@@ -5,8 +5,9 @@
     offset assignment over alias-aware lifetime intervals, so storage is
     reused across tensors whose lifetimes do not overlap), folds bindable
     dynamic allocations into a symbolic per-device plan carried by a
-    [memory.bind_arena] op (offsets/sizes as {!Nimble_shape.Sym_expr}
-    expressions over the function's symbolic dims, BladeDISC++-style), and
+    [memory.bind_arena] op (a {!Nimble_shape.Arena_plan} encoded in its
+    attributes: offsets/sizes as {!Nimble_shape.Sym_expr} expressions over
+    the function's symbolic dims, BladeDISC++-style), and
     inserts [memory.kill] after the last use of tensors that stay
     dynamically allocated. See [docs/MEMORY.md] for the dialect handbook. *)
 

@@ -44,28 +44,12 @@ type packed = {
   run : Tensor.t list -> Tensor.t list;
 }
 
-(** One symbolic-dim binding of a memory plan: at bind time the VM reads
-    dimension [b_dim] of argument [b_arg]'s shape as the value of symbolic
-    dim [b_sym]. *)
-type binder = { b_arg : int; b_dim : int; b_sym : int }
-
-(** One arena slot of a symbolic memory plan: byte offset and size as
-    expressions over the bound symbolic dims. *)
-type slot = {
-  s_offset : Nimble_shape.Sym_expr.t;
-  s_size : Nimble_shape.Sym_expr.t;
-}
-
-(** A symbolic memory plan (paper §4.3, BladeDISC++-style): emitted by the
-    memory planner for one function x device, bound per request by
+(** A symbolic memory plan (paper §4.3): the arena layout the memory
+    planner emitted for function [p_func], bound per request by
     [BindArena] (see [docs/MEMORY.md]). *)
 type plan = {
   p_func : int;  (** function the plan belongs to *)
-  p_device : int;  (** device the arena lives on *)
-  p_align : int;  (** arena alignment *)
-  p_binders : binder array;  (** how to bind each free symbolic dim *)
-  p_slots : slot array;  (** slot offsets/sizes, [AllocTensorReg.slot]-indexed *)
-  p_total : Nimble_shape.Sym_expr.t;  (** total arena bytes *)
+  p_arena : Nimble_shape.Arena_plan.t;  (** device, binders, slots, total *)
 }
 
 (** One persisted tune decision (paper §4.5 online specialization): install
@@ -148,161 +132,6 @@ let get_packed t i =
       let name, _ = t.packed_names.(i) in
       Fmt.invalid_arg "Exe.get_packed: %s not linked" name
 
-(** Static well-formedness checks on an executable: register indices within
-    each function's register file, jump targets inside the code, constant and
-    function and packed indices within their tables, and every path ending in
-    a control transfer. Returns the list of violations (empty = valid). Run
-    after deserialization to reject malformed or truncated bytecode early. *)
-let validate (t : t) : string list =
-  let problems = ref [] in
-  let bad fmt = Fmt.kstr (fun s -> problems := s :: !problems) fmt in
-  Array.iteri
-    (fun fi (f : vmfunc) ->
-      let n = Array.length f.code in
-      let check_reg pc r what =
-        if r < 0 || r >= f.register_count then
-          bad "fn%d %s pc=%d: %s register %d out of [0,%d)" fi f.name pc what r
-            f.register_count
-      in
-      let check_regs pc rs what = Array.iter (fun r -> check_reg pc r what) rs in
-      let check_jump pc off =
-        let target = pc + off in
-        if target < 0 || target >= n then
-          bad "fn%d %s pc=%d: jump target %d out of [0,%d)" fi f.name pc target n
-      in
-      if f.arity > f.register_count then
-        bad "fn%d %s: arity %d exceeds register count %d" fi f.name f.arity
-          f.register_count;
-      if n = 0 then bad "fn%d %s: empty code" fi f.name;
-      Array.iteri
-        (fun pc instr ->
-          match instr with
-          | Isa.Move { src; dst } ->
-              check_reg pc src "src";
-              check_reg pc dst "dst"
-          | Isa.Ret { result } -> check_reg pc result "result"
-          | Isa.Invoke { func_index; args; dst } ->
-              if func_index < 0 || func_index >= Array.length t.funcs then
-                bad "fn%d %s pc=%d: bad function index %d" fi f.name pc func_index
-              else if Array.length args <> t.funcs.(func_index).arity then
-                bad "fn%d %s pc=%d: %d args for fn%d (arity %d)" fi f.name pc
-                  (Array.length args) func_index t.funcs.(func_index).arity;
-              check_regs pc args "arg";
-              check_reg pc dst "dst"
-          | Isa.InvokeClosure { closure; args; dst } ->
-              check_reg pc closure "closure";
-              check_regs pc args "arg";
-              check_reg pc dst "dst"
-          | Isa.InvokePacked { packed_index; args; outs; _ } ->
-              if packed_index < 0 || packed_index >= Array.length t.packed_names then
-                bad "fn%d %s pc=%d: bad packed index %d" fi f.name pc packed_index;
-              check_regs pc args "arg";
-              check_regs pc outs "out"
-          | Isa.AllocStorage { size; dst; _ } ->
-              check_reg pc size "size";
-              check_reg pc dst "dst"
-          | Isa.AllocTensor { storage; dst; _ } ->
-              check_reg pc storage "storage";
-              check_reg pc dst "dst"
-          | Isa.AllocTensorReg { storage; shape; plan; slot; dst; _ } ->
-              check_reg pc storage "storage";
-              check_reg pc shape "shape";
-              check_reg pc dst "dst";
-              if plan >= 0 then begin
-                if plan >= Array.length t.plans then
-                  bad "fn%d %s pc=%d: bad plan index %d" fi f.name pc plan
-                else if slot < 0 || slot >= Array.length t.plans.(plan).p_slots then
-                  bad "fn%d %s pc=%d: slot %d outside plan%d's %d slots" fi f.name pc
-                    slot plan
-                    (Array.length t.plans.(plan).p_slots)
-              end
-              else if slot >= 0 then
-                bad "fn%d %s pc=%d: slot %d without a plan" fi f.name pc slot
-          | Isa.AllocADT { fields; dst; _ } ->
-              check_regs pc fields "field";
-              check_reg pc dst "dst"
-          | Isa.AllocClosure { func_index; captured; dst } ->
-              if func_index < 0 || func_index >= Array.length t.funcs then
-                bad "fn%d %s pc=%d: bad closure function index %d" fi f.name pc func_index;
-              check_regs pc captured "captured";
-              check_reg pc dst "dst"
-          | Isa.GetField { obj; dst; _ } | Isa.GetTag { obj; dst } ->
-              check_reg pc obj "obj";
-              check_reg pc dst "dst"
-          | Isa.If { test; target; true_offset; false_offset } ->
-              check_reg pc test "test";
-              check_reg pc target "target";
-              check_jump pc true_offset;
-              check_jump pc false_offset
-          | Isa.Goto off -> check_jump pc off
-          | Isa.LoadConst { index; dst } ->
-              if index < 0 || index >= Array.length t.constants then
-                bad "fn%d %s pc=%d: bad constant index %d" fi f.name pc index;
-              check_reg pc dst "dst"
-          | Isa.LoadConsti { dst; _ } -> check_reg pc dst "dst"
-          | Isa.DeviceCopy { src; dst; _ } ->
-              check_reg pc src "src";
-              check_reg pc dst "dst"
-          | Isa.ShapeOf { tensor; dst } ->
-              check_reg pc tensor "tensor";
-              check_reg pc dst "dst"
-          | Isa.ReshapeTensor { tensor; shape; dst } ->
-              check_reg pc tensor "tensor";
-              check_reg pc shape "shape";
-              check_reg pc dst "dst"
-          | Isa.Fatal _ -> ()
-          | Isa.BindArena { plan_index; dst } ->
-              check_reg pc dst "dst";
-              if plan_index < 0 || plan_index >= Array.length t.plans then
-                bad "fn%d %s pc=%d: bad plan index %d" fi f.name pc plan_index
-              else begin
-                let p = t.plans.(plan_index) in
-                if p.p_func <> fi then
-                  bad "fn%d %s pc=%d: plan%d belongs to fn%d" fi f.name pc plan_index
-                    p.p_func;
-                Array.iter
-                  (fun b ->
-                    if b.b_arg < 0 || b.b_arg >= f.arity then
-                      bad "fn%d %s pc=%d: plan%d binder reads argument %d outside arity %d"
-                        fi f.name pc plan_index b.b_arg f.arity)
-                  p.p_binders
-              end)
-        f.code;
-      (* entry guards must name real argument positions *)
-      Array.iter
-        (fun g ->
-          if g.g_arg < 0 || g.g_arg >= f.arity then
-            bad "fn%d %s: guard on argument %d outside arity %d" fi f.name g.g_arg
-              f.arity)
-        (if fi < Array.length t.guards then t.guards.(fi) else [||]);
-      (* the last instruction must not fall off the end *)
-      if n > 0 then
-        match f.code.(n - 1) with
-        | Isa.Ret _ | Isa.Goto _ | Isa.Fatal _ | Isa.If _ -> ()
-        | _ -> bad "fn%d %s: falls off the end of the code" fi f.name)
-    t.funcs;
-  (* tune-table rows must target real packed kernels with sane parameters
-     and no duplicate (kernel, extent) decisions *)
-  let seen_tunes = Hashtbl.create 8 in
-  Array.iteri
-    (fun i tn ->
-      (match
-         Array.find_opt (fun (n, _) -> String.equal n tn.tn_kernel) t.packed_names
-       with
-      | Some (_, `Kernel) -> ()
-      | Some (_, `Shape_func) ->
-          bad "tune%d: %s is a shape function, not a kernel" i tn.tn_kernel
-      | None -> bad "tune%d: no packed kernel named %s" i tn.tn_kernel);
-      if tn.tn_extent <= 0 then bad "tune%d: extent %d not positive" i tn.tn_extent;
-      if tn.tn_tile_m <= 0 || tn.tn_tile_m > 256 then
-        bad "tune%d: tile_m %d out of [1,256]" i tn.tn_tile_m;
-      let key = (tn.tn_kernel, tn.tn_extent) in
-      if Hashtbl.mem seen_tunes key then
-        bad "tune%d: duplicate decision for %s extent %d" i tn.tn_kernel tn.tn_extent
-      else Hashtbl.replace seen_tunes key ())
-    t.tunes;
-  List.rev !problems
-
 (** Human-readable disassembly. *)
 let disassemble ppf t =
   Fmt.pf ppf "constants: %d@." (Array.length t.constants);
@@ -311,6 +140,10 @@ let disassemble ppf t =
       Fmt.pf ppf "packed%d: %s (%s)@." i name
         (match kind with `Kernel -> "kernel" | `Shape_func -> "shape_func"))
     t.packed_names;
+  Array.iteri
+    (fun i p ->
+      Fmt.pf ppf "plan %d: func=%d %a@." i p.p_func Nimble_shape.Arena_plan.pp p.p_arena)
+    t.plans;
   Array.iter
     (fun f ->
       Fmt.pf ppf "@.fn %s(arity=%d, regs=%d):@." f.name f.arity f.register_count;

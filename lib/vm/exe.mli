@@ -48,29 +48,13 @@ type packed = {
   run : Tensor.t list -> Tensor.t list;
 }
 
-(** One symbolic-dim binding of a memory plan: at bind time the VM reads
-    dimension [b_dim] of argument [b_arg]'s shape as the value of symbolic
-    dim [b_sym]. *)
-type binder = { b_arg : int; b_dim : int; b_sym : int }
-
-(** One arena slot of a symbolic memory plan: byte offset and size as
-    expressions over the bound symbolic dims. *)
-type slot = {
-  s_offset : Nimble_shape.Sym_expr.t;
-  s_size : Nimble_shape.Sym_expr.t;
-}
-
-(** A symbolic memory plan (paper §4.3, BladeDISC++-style): emitted by the
-    memory planner for one function x device, bound per request by the
-    [BindArena] instruction, with tensor slots suballocated by
-    [AllocTensorReg]. See [docs/MEMORY.md]. *)
+(** A symbolic memory plan (paper §4.3, BladeDISC++-style): the arena
+    layout the memory planner emitted for function [p_func], bound per
+    request by the [BindArena] instruction, with tensor slots suballocated
+    by [AllocTensorReg]. See [docs/MEMORY.md]. *)
 type plan = {
   p_func : int;  (** function the plan belongs to *)
-  p_device : int;  (** device the arena lives on *)
-  p_align : int;  (** arena alignment *)
-  p_binders : binder array;  (** how to bind each free symbolic dim *)
-  p_slots : slot array;  (** slot offsets/sizes, [AllocTensorReg.slot]-indexed *)
-  p_total : Nimble_shape.Sym_expr.t;  (** total arena bytes *)
+  p_arena : Nimble_shape.Arena_plan.t;  (** device, binders, slots, total *)
 }
 
 (** One persisted tune decision (paper §4.5 online specialization): install
@@ -138,12 +122,8 @@ val linked : t -> bool
     @raise Invalid_argument if that slot was never {!link}ed. *)
 val get_packed : t -> int -> packed
 
-(** Static well-formedness checks: register bounds, jump targets, constant /
-    function / packed indices, arity agreement, no fallthrough. Returns the
-    violations (empty = valid); run after deserialization. *)
-val validate : t -> string list
-
-(** Human-readable disassembly. *)
+(** Human-readable disassembly: packed names, the plan table, then each
+    function's bytecode. *)
 val disassemble : Format.formatter -> t -> unit
 
 (** Total bytecode instructions across all functions (the [instructions]

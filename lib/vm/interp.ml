@@ -7,6 +7,7 @@
 
 open Nimble_tensor
 module Fault = Nimble_fault.Fault
+module Arena_plan = Nimble_shape.Arena_plan
 
 exception Vm_error of string
 
@@ -168,25 +169,24 @@ let storage_bytes (shape_t : Tensor.t) (dtype : Dtype.t) ~alignment =
    argument [i]'s shape when it is a tensor). Returns a dim lookup for
    [Sym_expr.eval], or a message naming the binder that could not be
    satisfied. *)
-let bind_plan_dims (p : Exe.plan) (shape_of_arg : int -> int array option) :
+let bind_plan_dims (p : Arena_plan.t) (shape_of_arg : int -> int array option) :
     (int -> int, string) result =
   let env = Hashtbl.create 4 in
   let missing = ref None in
   Array.iter
-    (fun (b : Exe.binder) ->
+    (fun { Arena_plan.b_arg; b_dim; b_sym } ->
       if !missing = None then
-        match shape_of_arg b.Exe.b_arg with
-        | Some shape when b.Exe.b_dim < Array.length shape ->
-            Hashtbl.replace env b.Exe.b_sym shape.(b.Exe.b_dim)
+        match shape_of_arg b_arg with
+        | Some shape when b_dim < Array.length shape ->
+            Hashtbl.replace env b_sym shape.(b_dim)
         | Some shape ->
             missing :=
               Some
-                (Fmt.str "plan binder: argument %d has rank %d, needs dim %d"
-                   b.Exe.b_arg (Array.length shape) b.Exe.b_dim)
+                (Fmt.str "plan binder: argument %d has rank %d, needs dim %d" b_arg
+                   (Array.length shape) b_dim)
         | None ->
-            missing :=
-              Some (Fmt.str "plan binder: argument %d is not a tensor" b.Exe.b_arg))
-    p.Exe.p_binders;
+            missing := Some (Fmt.str "plan binder: argument %d is not a tensor" b_arg))
+    p.Arena_plan.binders;
   match !missing with
   | Some msg -> Error msg
   | None ->
@@ -640,7 +640,7 @@ let rec exec_func (vm : t) ?ctx ~depth (fi : int) (args : Obj.t array) : Obj.t =
         let t0 = now () in
         if plan_index < 0 || plan_index >= Array.length vm.exe.Exe.plans then
           err "BindArena: bad plan index %d" plan_index;
-        let p = vm.exe.Exe.plans.(plan_index) in
+        let p = vm.exe.Exe.plans.(plan_index).Exe.p_arena in
         let shape_of_arg i =
           if i < 0 || i >= Array.length args then None
           else
@@ -653,15 +653,15 @@ let rec exec_func (vm : t) ?ctx ~depth (fi : int) (args : Obj.t array) : Obj.t =
           | Ok f -> f
           | Error msg -> err "%s" msg
         in
-        let bytes = Nimble_shape.Sym_expr.eval lookup p.Exe.p_total in
+        let bytes = Nimble_shape.Sym_expr.eval lookup p.Arena_plan.total in
         if bytes < 0 then err "BindArena: negative arena size %d" bytes;
         let offsets =
           Array.map
-            (fun (s : Exe.slot) -> Nimble_shape.Sym_expr.eval lookup s.Exe.s_offset)
-            p.Exe.p_slots
+            (fun (s : Arena_plan.slot) -> Nimble_shape.Sym_expr.eval lookup s.s_offset)
+            p.Arena_plan.slots
         in
         Hashtbl.replace (Lazy.force plan_offsets) plan_index offsets;
-        let device = Nimble_device.Device.of_id p.Exe.p_device in
+        let device = Nimble_device.Device.of_id p.Arena_plan.device in
         let persistent = vm.pooling && depth = 0 in
         let storage, reused =
           acquire_plan_arena vm ~persistent ~plan_index ~device ~bytes
@@ -676,7 +676,7 @@ let rec exec_func (vm : t) ?ctx ~depth (fi : int) (args : Obj.t array) : Obj.t =
               ~ts_us:instr_ts ~dur_us:(dt *. 1e6)
               [
                 ("bytes", Trace.Int bytes);
-                ("device", Trace.Int p.Exe.p_device);
+                ("device", Trace.Int p.Arena_plan.device);
                 ("reused", Trace.Bool reused);
                 ("plan", Trace.Int plan_index);
               ]
@@ -799,15 +799,15 @@ let warm_arenas ?(func = "main") vm (shape_of_arg : int -> int array option) :
     let fi = Exe.func_index vm.exe func in
     let bound = ref 0 in
     Array.iteri
-      (fun plan_index (p : Exe.plan) ->
-        if p.Exe.p_func = fi then
+      (fun plan_index { Exe.p_func; p_arena = p } ->
+        if p_func = fi then
           match bind_plan_dims p shape_of_arg with
           | Error _ -> ()
           | Ok lookup -> (
               try
-                let bytes = Nimble_shape.Sym_expr.eval lookup p.Exe.p_total in
+                let bytes = Nimble_shape.Sym_expr.eval lookup p.Arena_plan.total in
                 if bytes >= 0 then begin
-                  let device = Nimble_device.Device.of_id p.Exe.p_device in
+                  let device = Nimble_device.Device.of_id p.Arena_plan.device in
                   let (_ : Storage.t * bool) =
                     acquire_plan_arena vm ~persistent:true ~plan_index ~device
                       ~bytes

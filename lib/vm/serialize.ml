@@ -182,27 +182,29 @@ let w_guard b (g : Exe.guard) =
           w_i32 b s)
     g.Exe.g_dims
 
+module Arena_plan = Nimble_shape.Arena_plan
+
 let w_sym_expr b (e : Nimble_shape.Sym_expr.t) =
   w_string b (Nimble_shape.Sym_expr.to_string e)
 
-let w_plan b (p : Exe.plan) =
-  w_i32 b p.Exe.p_func;
-  w_i32 b p.Exe.p_device;
-  w_i32 b p.Exe.p_align;
-  w_i32 b (Array.length p.Exe.p_binders);
+let w_plan b { Exe.p_func; p_arena = a } =
+  w_i32 b p_func;
+  w_i32 b a.Arena_plan.device;
+  w_i32 b a.Arena_plan.align;
+  w_i32 b (Array.length a.Arena_plan.binders);
   Array.iter
-    (fun (bd : Exe.binder) ->
-      w_i32 b bd.Exe.b_arg;
-      w_i32 b bd.Exe.b_dim;
-      w_i32 b bd.Exe.b_sym)
-    p.Exe.p_binders;
-  w_i32 b (Array.length p.Exe.p_slots);
+    (fun { Arena_plan.b_arg; b_dim; b_sym } ->
+      w_i32 b b_arg;
+      w_i32 b b_dim;
+      w_i32 b b_sym)
+    a.Arena_plan.binders;
+  w_i32 b (Array.length a.Arena_plan.slots);
   Array.iter
-    (fun (s : Exe.slot) ->
-      w_sym_expr b s.Exe.s_offset;
-      w_sym_expr b s.Exe.s_size)
-    p.Exe.p_slots;
-  w_sym_expr b p.Exe.p_total
+    (fun { Arena_plan.s_offset; s_size } ->
+      w_sym_expr b s_offset;
+      w_sym_expr b s_size)
+    a.Arena_plan.slots;
+  w_sym_expr b a.Arena_plan.total
 
 let to_bytes (exe : Exe.t) : string =
   let b = Buffer.create 4096 in
@@ -439,27 +441,27 @@ let r_sym_expr r : Nimble_shape.Sym_expr.t =
 
 let r_plan r : Exe.plan =
   let p_func = r_i32 r in
-  let p_device = r_i32 r in
-  let p_align = r_i32 r in
+  let device = r_i32 r in
+  let align = r_i32 r in
   let nbinders = r_i32 r in
   if nbinders < 0 || nbinders > 1024 then err "bad plan binder count %d" nbinders;
-  let p_binders =
+  let binders =
     Array.init nbinders (fun _ ->
         let b_arg = r_i32 r in
         let b_dim = r_i32 r in
         let b_sym = r_i32 r in
-        { Exe.b_arg; b_dim; b_sym })
+        { Arena_plan.b_arg; b_dim; b_sym })
   in
   let nslots = r_i32 r in
   if nslots < 0 || nslots > 1_000_000 then err "bad plan slot count %d" nslots;
-  let p_slots =
+  let slots =
     Array.init nslots (fun _ ->
         let s_offset = r_sym_expr r in
         let s_size = r_sym_expr r in
-        { Exe.s_offset; s_size })
+        { Arena_plan.s_offset; s_size })
   in
-  let p_total = r_sym_expr r in
-  { Exe.p_func; p_device; p_align; p_binders; p_slots; p_total }
+  let total = r_sym_expr r in
+  { Exe.p_func; p_arena = { Arena_plan.device; align; binders; slots; total } }
 
 let of_bytes (s : string) : Exe.t =
   Fault.check "deserialize";

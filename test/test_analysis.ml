@@ -126,11 +126,14 @@ let all_opcode_exe () =
     [|
       {
         Exe.p_func = 1;
-        p_device = 0;
-        p_align = 64;
-        p_binders = [| { Exe.b_arg = 0; b_dim = 0; b_sym = 0 } |];
-        p_slots = [| { Exe.s_offset = Sx.const 0; s_size = size } |];
-        p_total = size;
+        p_arena =
+          {
+            Nimble_shape.Arena_plan.device = 0;
+            align = 64;
+            binders = [| { b_arg = 0; b_dim = 0; b_sym = 0 } |];
+            slots = [| { s_offset = Sx.const 0; s_size = size } |];
+            total = size;
+          };
       };
     |];
   exe
@@ -369,18 +372,17 @@ let test_verify_passes_off () =
 
 let dv = Expr.fresh_var
 
+let has_substr s substr =
+  let n = String.length substr in
+  let found = ref false in
+  for i = 0 to String.length s - n do
+    if String.sub s i n = substr then found := true
+  done;
+  !found
+
 let contains_diag ~check ~substr diags =
   List.exists
-    (fun d ->
-      d.Diag.d_check = check
-      &&
-      let s = Diag.to_string d in
-      let n = String.length substr in
-      let found = ref false in
-      for i = 0 to String.length s - n do
-        if String.sub s i n = substr then found := true
-      done;
-      !found)
+    (fun d -> d.Diag.d_check = check && has_substr (Diag.to_string d) substr)
     diags
 
 let check_lint name diags ~check ~substr =
@@ -580,6 +582,136 @@ let test_truncations_never_crash () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Symbolic arena plans: one codec, one soundness check                 *)
+(* ------------------------------------------------------------------ *)
+
+module Arena_plan = Nimble_shape.Arena_plan
+module Plan_check = Nimble_analysis.Plan_check
+module Sx = Nimble_shape.Sym_expr
+
+(* Every plan the planner emits is a consecutive tiling (its layout is
+   proven, not sampled), checks clean, and survives the IR attribute
+   codec unchanged. *)
+let test_zoo_plans_tiled () =
+  let plans =
+    List.concat_map
+      (fun (n, m) ->
+        List.map (fun p -> (n, p.Exe.p_arena)) (Array.to_list (Nimble.compile m).Exe.plans))
+      (zoo_modules () @ example_modules ())
+  in
+  Alcotest.(check bool) "the zoo emits symbolic plans" true (plans <> []);
+  List.iter
+    (fun (n, p) ->
+      Alcotest.(check bool) (n ^ ": layout proven by tiling") true (Plan_check.tiled p);
+      Alcotest.(check (list string)) (n ^ ": sound") [] (Plan_check.check p);
+      Alcotest.(check bool) (n ^ ": attrs codec round trip") true
+        (Arena_plan.of_attrs (Arena_plan.to_attrs p) = Ok p))
+    plans
+
+let plan ?(device = 0) ?(align = 64) ?(binders = [ (0, 0, 0) ]) slots total =
+  {
+    Arena_plan.device;
+    align;
+    binders =
+      Array.of_list
+        (List.map (fun (b_arg, b_dim, b_sym) -> { Arena_plan.b_arg; b_dim; b_sym }) binders);
+    slots = Array.of_list (List.map (fun (s_offset, s_size) -> { Arena_plan.s_offset; s_size }) slots);
+    total;
+  }
+
+let s0 k = Sx.mul (Sx.dim 0) (Sx.const k)
+
+(* The plan table of a one-function executable, and the same plan as a
+   [memory.bind_arena] in IR: the verifier and the planned-memory lint
+   must report exactly {!Plan_check}'s findings. *)
+let reasons_both_ways p =
+  let exe =
+    Exe.create
+      ~funcs:
+        [|
+          {
+            Exe.name = "main";
+            arity = 1;
+            register_count = 2;
+            code = [| Isa.BindArena { plan_index = 0; dst = 1 }; Isa.Ret { result = 0 } |];
+          };
+        |]
+      ~constants:[||] ~packed_names:[||]
+  in
+  Exe.set_plans exe [| { Exe.p_func = 0; p_arena = p } |];
+  let from_verifier =
+    List.filter_map
+      (fun d -> if d.Diag.d_check = "memory_plan" then Some d.Diag.d_reason else None)
+      (Verifier.verify exe)
+  in
+  let x = dv "x" and a = dv "a" in
+  let m =
+    Irmod.of_main
+      (Expr.fn_def [ x ]
+         (Expr.lets
+            [ (a, Expr.op_call ~attrs:(Arena_plan.to_attrs p) "memory.bind_arena" []) ]
+            (Expr.Var x)))
+  in
+  let prefix = "bind_arena %a: " in
+  let from_lint =
+    List.map
+      (fun d ->
+        let r = d.Diag.d_reason in
+        if String.starts_with ~prefix r then
+          String.sub r (String.length prefix) (String.length r - String.length prefix)
+        else Alcotest.failf "lint reason %S lacks the bind_arena prefix" r)
+      (Lint.memory ~planned:true m)
+  in
+  (from_verifier, from_lint)
+
+let test_unsound_plans_rejected () =
+  List.iter
+    (fun (name, p, substr) ->
+      let expected = Plan_check.check p in
+      let verifier, lint = reasons_both_ways p in
+      Alcotest.(check (list string)) (name ^ ": verifier = Plan_check") expected verifier;
+      Alcotest.(check (list string)) (name ^ ": lint = Plan_check") expected lint;
+      Alcotest.(check bool) (name ^ ": reports " ^ substr) true
+        (List.exists (fun r -> has_substr r substr) expected))
+    [
+      ("overlap", plan [ (Sx.const 0, s0 4); (s0 2, s0 4) ] (s0 8), "not a consecutive tiling");
+      ("escape", plan [ (Sx.const 0, s0 8) ] (s0 4), "not a consecutive tiling");
+      ("unbound dim", plan ~binders:[] [ (Sx.const 0, s0 4) ] (s0 4), "s0 has no binder");
+      ( "non-monotone size",
+        plan [ (Sx.const 0, Sx.Add (s0 4, Sx.const (-8))) ] (s0 4),
+        "is not monotone" );
+      ( "align 0",
+        plan [ (Sx.const 0, Sx.Align (s0 4, 0)) ] (s0 4),
+        "is not monotone" );
+      ("bad device", plan ~device:7 [ (Sx.const 0, s0 4) ] (s0 4), "device 7 out of bounds");
+      ("bad binder", plan ~binders:[ (0, -1, 0) ] [ (Sx.const 0, s0 4) ] (s0 4), "dim -1");
+    ]
+
+(* Only tilings are accepted: swapping two slots of a tiling keeps them
+   disjoint, but the layout is no longer provable by structure, so the
+   plan is rejected rather than sampled. *)
+let test_untiled_plan_rejected () =
+  let a = Sx.align (s0 4) 64 and b = Sx.align (s0 12) 64 in
+  let tiled = plan [ (Sx.const 0, a); (a, b) ] (Sx.add a b) in
+  let swapped = plan [ (b, a); (Sx.const 0, b) ] (Sx.add a b) in
+  Alcotest.(check bool) "planner layout is tiled" true (Plan_check.tiled tiled);
+  Alcotest.(check bool) "swapped layout is not" false (Plan_check.tiled swapped);
+  Alcotest.(check (list string)) "tiling sound" [] (Plan_check.check tiled);
+  Alcotest.(check (list string)) "swapped rejected"
+    [ "layout is not a consecutive tiling, so no-overlap and no-escape are unproven" ]
+    (Plan_check.check swapped)
+
+(* A plan whose alignment is 0 decodes, but must be rejected at load with
+   a typed error rather than reach the interpreter's evaluation. *)
+let test_align_zero_rejected_on_load () =
+  let exe = Nimble.compile (snd (List.hd (example_modules ()))) in
+  Exe.set_plans exe
+    [| { Exe.p_func = 0; p_arena = plan [ (Sx.const 0, Sx.Align (s0 4, 0)) ] (s0 4) } |];
+  match classify (Serialize.to_bytes exe) with
+  | `Rejected -> ()
+  | `Clean -> Alcotest.fail "a plan aligning to 0 verified"
+
+(* ------------------------------------------------------------------ *)
 
 let test_to_failure () =
   let d = Diag.v ~check:"bytecode" ~where_:"main" ~pc:7 "boom" in
@@ -634,6 +766,13 @@ let () =
         [
           Alcotest.test_case "byte flips" `Quick test_byte_flips_never_crash;
           Alcotest.test_case "truncations" `Quick test_truncations_never_crash;
+        ] );
+      ( "plans",
+        [
+          Alcotest.test_case "zoo plans tiled + codec" `Quick test_zoo_plans_tiled;
+          Alcotest.test_case "unsound plans rejected" `Quick test_unsound_plans_rejected;
+          Alcotest.test_case "untiled plan rejected" `Quick test_untiled_plan_rejected;
+          Alcotest.test_case "align 0 rejected on load" `Quick test_align_zero_rejected_on_load;
         ] );
       ("failure", [ Alcotest.test_case "to_failure" `Quick test_to_failure ]);
     ]

@@ -151,8 +151,7 @@ let prop_emitted_bytecode_validates =
       let nodes = gen_graph rng ~cols ~length in
       let m = build_module nodes ~rows:Dim.Any ~cols in
       let exe = Nimble.compile m in
-      Nimble_vm.Exe.validate exe = []
-      && Nimble_analysis.Verifier.verify exe = [])
+      Nimble_analysis.Verifier.verify exe = [])
 
 let prop_serialization_roundtrip_runs =
   QCheck.Test.make ~name:"random graph: serialize/load/relink runs identically" ~count:15

@@ -103,7 +103,7 @@ let test_inline_freshens_variables () =
 let test_validate_accepts_compiled () =
   let w = Nimble_models.Lstm.init_weights Nimble_models.Lstm.small_config in
   let exe = Nimble.compile (Nimble_models.Lstm.ir_module w) in
-  Alcotest.(check (list string)) "clean" [] (Nimble_vm.Exe.validate exe)
+  Alcotest.(check (list string)) "clean" [] (List.map Nimble_analysis.Diag.to_string (Nimble_analysis.Verifier.verify exe))
 
 let bad_exe code ~regs =
   Nimble_vm.Exe.create
@@ -112,22 +112,22 @@ let bad_exe code ~regs =
 
 let test_validate_catches_bad_register () =
   let exe = bad_exe ~regs:1 [| Nimble_vm.Isa.Move { src = 5; dst = 0 }; Nimble_vm.Isa.Ret { result = 0 } |] in
-  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+  Alcotest.(check bool) "flagged" true (Nimble_analysis.Verifier.verify exe <> [])
 
 let test_validate_catches_bad_jump () =
   let exe = bad_exe ~regs:1 [| Nimble_vm.Isa.Goto 99 |] in
-  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+  Alcotest.(check bool) "flagged" true (Nimble_analysis.Verifier.verify exe <> [])
 
 let test_validate_catches_bad_const () =
   let exe =
     bad_exe ~regs:1
       [| Nimble_vm.Isa.LoadConst { index = 3; dst = 0 }; Nimble_vm.Isa.Ret { result = 0 } |]
   in
-  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+  Alcotest.(check bool) "flagged" true (Nimble_analysis.Verifier.verify exe <> [])
 
 let test_validate_catches_fallthrough () =
   let exe = bad_exe ~regs:1 [| Nimble_vm.Isa.Move { src = 0; dst = 0 } |] in
-  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+  Alcotest.(check bool) "flagged" true (Nimble_analysis.Verifier.verify exe <> [])
 
 let test_validate_catches_arity_mismatch () =
   let f0 =
@@ -146,7 +146,7 @@ let test_validate_catches_arity_mismatch () =
     { Nimble_vm.Exe.name = "two"; arity = 2; register_count = 2; code = [| Nimble_vm.Isa.Ret { result = 0 } |] }
   in
   let exe = Nimble_vm.Exe.create ~funcs:[| f0; f1 |] ~constants:[||] ~packed_names:[||] in
-  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+  Alcotest.(check bool) "flagged" true (Nimble_analysis.Verifier.verify exe <> [])
 
 let () =
   Alcotest.run "inline"

@@ -14,6 +14,7 @@ module Exe = Nimble_vm.Exe
 module Obj = Nimble_vm.Obj
 module Profiler = Nimble_vm.Profiler
 module Sx = Nimble_shape.Sym_expr
+module Arena_plan = Nimble_shape.Arena_plan
 
 let tensor_bitwise = Alcotest.testable Tensor.pp Tensor.equal
 let rng = Rng.create ~seed:177
@@ -40,12 +41,10 @@ let legacy_exe () =
 
 (* the dim environment a [BindArena] would build for input shape [shape]:
    each binder reads one dimension of one argument *)
-let env_of_plan (p : Exe.plan) (shape : int array) sym =
-  match
-    Array.find_opt (fun b -> b.Exe.b_sym = sym) p.Exe.p_binders
-  with
-  | Some b when b.Exe.b_arg = 0 -> shape.(b.Exe.b_dim)
-  | Some b -> Alcotest.failf "binder reads argument %d (model has one)" b.Exe.b_arg
+let env_of_plan (p : Arena_plan.t) (shape : int array) sym =
+  match Array.find_opt (fun (b : Arena_plan.binder) -> b.b_sym = sym) p.binders with
+  | Some { b_arg = 0; b_dim; _ } -> shape.(b_dim)
+  | Some b -> Alcotest.failf "binder reads argument %d (model has one)" b.b_arg
   | None -> Alcotest.failf "no binder for symbolic dim %d" sym
 
 let sampled_rows = [ 1; 2; 3; 5; 7; 8; 16; 31; 64 ]
@@ -60,20 +59,14 @@ let test_plan_matches_concrete () =
   Alcotest.(check bool) "a symbolic plan was emitted" true
     (Array.length exe.Exe.plans > 0);
   Array.iter
-    (fun (p : Exe.plan) ->
-      let align n =
-        (n + p.Exe.p_align - 1) / p.Exe.p_align * p.Exe.p_align
-      in
+    (fun { Exe.p_arena = p; _ } ->
+      let align n = (n + p.align - 1) / p.align * p.align in
       List.iter
         (fun rows ->
           let lookup = env_of_plan p [| rows; feature_dim |] in
-          let total = Sx.eval lookup p.Exe.p_total in
-          let offs =
-            Array.map (fun s -> Sx.eval lookup s.Exe.s_offset) p.Exe.p_slots
-          in
-          let sizes =
-            Array.map (fun s -> Sx.eval lookup s.Exe.s_size) p.Exe.p_slots
-          in
+          let total = Sx.eval lookup p.total in
+          let offs = Array.map (fun (s : Arena_plan.slot) -> Sx.eval lookup s.s_offset) p.slots in
+          let sizes = Array.map (fun (s : Arena_plan.slot) -> Sx.eval lookup s.s_size) p.slots in
           (* concrete replay: consecutive aligned tiling from the static
              prefix (the first slot's offset, a constant of the plan) *)
           let expect = ref offs.(0) in
@@ -94,6 +87,17 @@ let test_plan_matches_concrete () =
             offs)
         sampled_rows)
     exe.Exe.plans
+
+(* The disassembly carries the plan table (docs/MEMORY.md's worked
+   example): the plan's header, its binder and its slot. *)
+let test_disassembly_shows_plan () =
+  let text = Fmt.str "%a" Exe.disassemble (symbolic_exe ()) in
+  let lines = String.split_on_char '\n' text in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) ("disassembly has " ^ prefix) true
+        (List.exists (String.starts_with ~prefix) lines))
+    [ "plan 0: func=0 device=0 align=64 total="; "  binder: arg0 dim0 -> s"; "  slot 0: offset=" ]
 
 (* One pooled VM across many shapes (large, small, large again): every
    run must be bitwise-equal to a legacy (unplanned) compile of the same
@@ -234,6 +238,7 @@ let () =
             test_plan_matches_concrete;
           Alcotest.test_case "eval once, rebind per request" `Quick
             test_eval_once_rebind_per_request;
+          Alcotest.test_case "disassembly shows the plan" `Quick test_disassembly_shows_plan;
         ] );
       ( "serving",
         [
