@@ -51,7 +51,6 @@ let engine_config =
     Serve.Engine.workers = 2;
     queue_capacity = 128;
     max_batch = 8;
-    max_wait_us = 1000.0;
   }
 
 let duration_s = 0.35

@@ -34,7 +34,6 @@ let engine_config =
     Serve.Engine.workers = 2;
     queue_capacity = 256;
     max_batch = 8;
-    max_wait_us = 500.0;
     max_retries = 3;
     retry_backoff_us = 50.0;
   }

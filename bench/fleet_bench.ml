@@ -73,7 +73,6 @@ let fleet_config =
         Serve.Engine.workers = 4;
         queue_capacity = 64;
         max_batch = 8;
-        max_wait_us = 1000.0;
       };
     admission = Some Serve.Admission.default_config;
     breaker = Some Serve.Breaker.default_config;

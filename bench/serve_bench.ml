@@ -1,6 +1,6 @@
-(** Serving-engine benchmark: throughput and latency of the shape-bucketed
-    dynamic batcher (lib/serve) across a grid of arrival rates and shape
-    mixes.
+(** Serving-engine benchmark: throughput and latency of the serving
+    engine (lib/serve), whose workers take same-bucket batches from the
+    pending queue, across a grid of arrival rates and shape mixes.
 
     Each point drives a fresh {!Nimble_serve.Engine} (engine statistics
     are cumulative) with the open-loop {!Nimble_serve.Loadgen}; the
@@ -53,7 +53,6 @@ let engine_config =
     Serve.Engine.workers = 2;
     queue_capacity = 128;
     max_batch = 8;
-    max_wait_us = 1000.0;
   }
 
 let duration_s = 0.4
@@ -133,7 +132,6 @@ let doc_json results : Json.t =
           [
             ("workers", Json.Int engine_config.Serve.Engine.workers);
             ("max_batch", Json.Int engine_config.Serve.Engine.max_batch);
-            ("max_wait_us", Json.Float engine_config.Serve.Engine.max_wait_us);
             ("queue_capacity", Json.Int engine_config.Serve.Engine.queue_capacity);
           ] );
       ( "points",

@@ -508,13 +508,8 @@ let engine_config_term =
   let max_batch =
     Arg.(
       value & opt int 8
-      & info [ "max-batch" ] ~docv:"N" ~doc:"Flush a shape bucket at this many requests")
-  in
-  let max_wait =
-    Arg.(
-      value & opt float 2000.0
-      & info [ "max-wait-us" ] ~docv:"US"
-          ~doc:"... or when its oldest request has waited this long (microseconds)")
+      & info [ "max-batch" ] ~docv:"N"
+          ~doc:"Most queued same-bucket requests one worker takes at once")
   in
   let bucket =
     Arg.(
@@ -554,14 +549,12 @@ let engine_config_term =
              allocation that would exceed it fails the request as \
              $(i,alloc)")
   in
-  let mk workers queue_capacity max_batch max_wait_us bucket timeout max_retries
+  let mk workers queue_capacity max_batch bucket timeout max_retries
       retry_backoff_us pool_cap_bytes =
     if workers < 1 then die "--workers must be >= 1 (got %d)" workers;
     if queue_capacity < 1 then
       die "--queue-capacity must be >= 1 (got %d)" queue_capacity;
     if max_batch < 1 then die "--max-batch must be >= 1 (got %d)" max_batch;
-    if max_wait_us < 0.0 then
-      die "--max-wait-us must be >= 0 (got %g)" max_wait_us;
     if bucket < 0 then die "--bucket-multiple must be >= 0 (got %d)" bucket;
     Option.iter
       (fun t -> if t <= 0.0 then die "--timeout-us must be > 0 (got %g)" t)
@@ -576,7 +569,6 @@ let engine_config_term =
       Serve.Engine.workers;
       queue_capacity;
       max_batch;
-      max_wait_us;
       policy =
         (if bucket <= 1 then Serve.Bucket.Exact
          else Serve.Bucket.Pad { multiple = bucket; max_over = 2.0 });
@@ -588,7 +580,7 @@ let engine_config_term =
     }
   in
   Term.(
-    const mk $ workers $ queue $ max_batch $ max_wait $ bucket $ timeout
+    const mk $ workers $ queue $ max_batch $ bucket $ timeout
     $ max_retries $ retry_backoff $ pool_cap)
 
 (* ------------------------- fleet options ------------------------- *)
@@ -1261,11 +1253,10 @@ let lint_cmd =
       incr failures;
       List.iter (fun d -> Fmt.pr "%-14s %a@." name Nimble_analysis.Diag.pp d) ds
     in
-    (* compile with verification on and report every violation the pipeline
-       checks found (dialect lints + bytecode verifier) *)
+    (* compile and report every violation the pipeline checks found
+       (dialect lints + bytecode verifier) *)
     let lint_module name m =
-      let options = { Nimble.default_options with Nimble.verify_passes = true } in
-      let _exe, report = Nimble.compile_with_report ~options m in
+      let _exe, report = Nimble.compile_with_report m in
       match report.Nimble.verify_diags with
       | [] ->
           Fmt.pr "%-14s ok (%s)@." name

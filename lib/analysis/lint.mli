@@ -1,9 +1,8 @@
 (** IR-dialect lints: well-formedness checks for the mid-level dialects the
-    lowering passes introduce, run after each pass when
-    [Nimble.options.verify_passes] is on. Each lint re-checks the invariant
-    its pass is supposed to establish, so a pass regression surfaces as a
-    located diagnostic right after the pass instead of as a miscompiled
-    executable three passes later. See [docs/ANALYSIS.md]. *)
+    lowering passes introduce, run after each pass on every compile. Each
+    lint re-checks the invariant its pass is supposed to establish, so a
+    pass regression surfaces as a located diagnostic right after the pass
+    instead of as a miscompiled executable three passes later. See [docs/ANALYSIS.md]. *)
 
 open Nimble_ir
 

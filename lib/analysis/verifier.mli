@@ -1,8 +1,7 @@
 (** Bytecode verifier: a classic dataflow verification pass over the VM's
-    20-instruction ISA, run on every compiler-emitted executable (when
-    [Nimble.options.verify_passes] is on) and on every deserialized one
-    (via {!of_bytes} / {!load_file}, the loading path [Serve.Cache] and
-    the CLI use).
+    20-instruction ISA, run on every compiler-emitted executable and on
+    every deserialized one (via {!of_bytes} / {!load_file}, the loading
+    path [Serve.Cache] and the CLI use).
 
     Per function it proves, over the control-flow graph formed by the
     [If]/[Goto] relative jumps:

@@ -31,12 +31,6 @@ type options = {
   runtime_guards : bool;
       (** emit gradual-typing entry guards: the §4.1 residual checks on
           entry-function tensor parameters, enforced by the VM *)
-  verify_passes : bool;
-      (** run the dialect lints after each lowering pass and the bytecode
-          verifier on the emitted executable (see [docs/ANALYSIS.md]) *)
-  compact_registers : bool;
-      (** run verifier-driven dead-register compaction after emission so
-          frames carry no dead slots ([Nimble_analysis.Compact]) *)
   autotune : bool;
       (** serve-time online shape specialization: track hot extents and
           re-tune live dispatch tables in the background
@@ -57,8 +51,6 @@ let default_options =
     dense_dispatch = Some 8;
     profile_extern = false;
     runtime_guards = true;
-    verify_passes = true;
-    compact_registers = true;
     autotune = false;
     autotune_threshold = Nimble_codegen.Autotune.default_config.hot_threshold;
     autotune_interval = Nimble_codegen.Autotune.default_config.scan_interval;
@@ -130,21 +122,19 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
   in
   let verify_stats = ref [] in
   let verify_diags = ref [] in
-  (* run one dialect lint (when verification is on), timing it and folding
-     its violations into the report *)
+  (* run one dialect lint, timing it and folding its violations into the
+     report *)
   let lint name check m =
-    if options.verify_passes then begin
-      let t0 = Unix.gettimeofday () in
-      let ds = check m in
-      verify_stats :=
-        {
-          verify_name = name;
-          verify_seconds = Unix.gettimeofday () -. t0;
-          violations = List.length ds;
-        }
-        :: !verify_stats;
-      verify_diags := !verify_diags @ ds
-    end
+    let t0 = Unix.gettimeofday () in
+    let ds = check m in
+    verify_stats :=
+      {
+        verify_name = name;
+        verify_seconds = Unix.gettimeofday () -. t0;
+        violations = List.length ds;
+      }
+      :: !verify_stats;
+    verify_diags := !verify_diags @ ds
   in
   (* time a transform returning a new module *)
   let timed name f m =
@@ -274,50 +264,36 @@ let compile_with_report ?(options = default_options) (m : Irmod.t) :
   (* dead-register compaction: rename away dead frame slots before the
      verifier sees the final bytecode *)
   let registers_before = Nimble_analysis.Compact.register_count exe in
-  let report =
-    if options.compact_registers then begin
-      let t0 = Unix.gettimeofday () in
-      ignore (Nimble_analysis.Compact.run exe);
-      {
-        report with
-        passes =
-          report.passes
-          @ [
-              {
-                pass_name = "compact_regs";
-                pass_seconds = Unix.gettimeofday () -. t0;
-                nodes_before = registers_before;
-                nodes_after = Nimble_analysis.Compact.register_count exe;
-              };
-            ];
-      }
-    end
-    else report
-  in
+  let t0 = Unix.gettimeofday () in
+  ignore (Nimble_analysis.Compact.run exe);
+  let compact_s = Unix.gettimeofday () -. t0 in
   let registers_after = Nimble_analysis.Compact.register_count exe in
-  let report =
-    if options.verify_passes then begin
-      let t0 = Unix.gettimeofday () in
-      let ds = Nimble_analysis.Verifier.verify exe in
-      {
-        report with
-        verify =
-          report.verify
-          @ [
-              {
-                verify_name = "bytecode";
-                verify_seconds = Unix.gettimeofday () -. t0;
-                violations = List.length ds;
-              };
-            ];
-        verify_diags = report.verify_diags @ ds;
-      }
-    end
-    else report
-  in
+  let t0 = Unix.gettimeofday () in
+  let ds = Nimble_analysis.Verifier.verify exe in
+  let verify_s = Unix.gettimeofday () -. t0 in
   ( exe,
     {
       report with
+      passes =
+        report.passes
+        @ [
+            {
+              pass_name = "compact_regs";
+              pass_seconds = compact_s;
+              nodes_before = registers_before;
+              nodes_after = registers_after;
+            };
+          ];
+      verify =
+        report.verify
+        @ [
+            {
+              verify_name = "bytecode";
+              verify_seconds = verify_s;
+              violations = List.length ds;
+            };
+          ];
+      verify_diags = report.verify_diags @ ds;
       instructions = Nimble_vm.Exe.instruction_count exe;
       registers_before;
       registers_after;

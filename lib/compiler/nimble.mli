@@ -35,17 +35,6 @@ type options = {
           entry functions' tensor parameters — concrete dims, identical-Any
           equalities, dtypes — enforced by the VM at the API boundary and
           surfaced as [Shape_guard] failures (see [docs/ROBUSTNESS.md]) *)
-  verify_passes : bool;
-      (** run the [Nimble_analysis] dialect lints after each lowering pass
-          (fusion policy, memory dialect, device placement) and the
-          bytecode verifier on the emitted executable; violations land in
-          {!report.verify} / {!report.verify_diags}. On by default; see
-          [docs/ANALYSIS.md] *)
-  compact_registers : bool;
-      (** run verifier-driven dead-register compaction after emission
-          ([Nimble_analysis.Compact]) so frames carry no dead slots; the
-          removed-slot delta lands in {!report.registers_before} /
-          {!report.registers_after}. On by default *)
   autotune : bool;
       (** serve-time online shape specialization: track hot extents while
           serving and re-tune live dispatch tables in the background
@@ -112,12 +101,16 @@ type report = {
       (** register slots across all functions as emitted, before
           dead-register compaction *)
   registers_after : int;
-      (** register slots after compaction; equals [registers_before] when
-          [compact_registers] is off or nothing shrank *)
+      (** register slots after dead-register compaction
+          ([Nimble_analysis.Compact]), which every compile runs; equals
+          [registers_before] when nothing shrank *)
   passes : pass_stat list;  (** per-pass timings and deltas, pipeline order *)
   verify : verify_stat list;
-      (** per-check verification stats in run order; empty when
-          [verify_passes] is off *)
+      (** per-check verification stats in run order: every compile runs
+          the [Nimble_analysis] dialect lints after each lowering pass
+          (fusion policy, memory dialect, device placement) and the
+          bytecode verifier on the emitted executable (see
+          [docs/ANALYSIS.md]) *)
   verify_diags : Nimble_analysis.Diag.t list;
       (** every violation the checks found, for diagnostics printing *)
 }

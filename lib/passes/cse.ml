@@ -12,32 +12,31 @@
 open Nimble_tensor
 open Nimble_ir
 
-(* Stable identity for constants: physical equality on the tensor. *)
-let const_ids : (Stdlib.Obj.t * int) list ref = ref []
-let const_counter = ref 0
-
-let const_id (t : Tensor.t) =
-  let repr = Stdlib.Obj.repr t in
-  match List.find_opt (fun (o, _) -> o == repr) !const_ids with
-  | Some (_, id) -> id
-  | None ->
-      incr const_counter;
-      const_ids := (repr, !const_counter) :: !const_ids;
-      !const_counter
-
 type env = {
   table : (string, Expr.var) Hashtbl.t;  (** canonical key -> binding *)
   repr : (int, Expr.var) Hashtbl.t;  (** vid -> representative var *)
+  consts : (Tensor.t * int) list ref;
+      (** this function's constants by physical identity; shared by every
+          copy of the env, so a constant has one id in all branches *)
 }
 
-let copy_env env = { table = Hashtbl.copy env.table; repr = Hashtbl.copy env.repr }
+let copy_env env =
+  { env with table = Hashtbl.copy env.table; repr = Hashtbl.copy env.repr }
+
+let const_id env (t : Tensor.t) =
+  match List.find_opt (fun (c, _) -> c == t) !(env.consts) with
+  | Some (_, id) -> id
+  | None ->
+      let id = List.length !(env.consts) in
+      env.consts := (t, id) :: !(env.consts);
+      id
 
 let rep env (v : Expr.var) =
   match Hashtbl.find_opt env.repr v.Expr.vid with Some r -> r | None -> v
 
 let atom_key env = function
   | Expr.Var v -> Fmt.str "v%d" (rep env v).Expr.vid
-  | Expr.Const t -> Fmt.str "c%d" (const_id t)
+  | Expr.Const t -> Fmt.str "c%d" (const_id env t)
   | Expr.Global g -> "g:" ^ g
   | Expr.Op o -> "o:" ^ o
   | Expr.Ctor c -> Fmt.str "k:%s.%s" c.Adt.adt_name c.Adt.ctor_name
@@ -113,7 +112,7 @@ and rewrite_rhs env (e : Expr.t) : Expr.t =
   | _ -> e
 
 let run_fn (fn : Expr.fn) : Expr.fn =
-  let env = { table = Hashtbl.create 64; repr = Hashtbl.create 64 } in
+  let env = { table = Hashtbl.create 64; repr = Hashtbl.create 64; consts = ref [] } in
   { fn with Expr.body = rewrite env fn.Expr.body }
 
 let run (m : Irmod.t) : Irmod.t =

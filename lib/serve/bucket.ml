@@ -1,4 +1,5 @@
-(** Shape buckets: the grouping key of the dynamic batcher.
+(** Shape buckets: the key by which a worker groups queued requests into
+    a batch.
 
     A bucket maps a request's (dynamic) shape to the scheduling class it
     shares with similar requests. Two requests in the same bucket ride in
@@ -48,8 +49,9 @@ let key policy (dims : int array) : int array =
         Array.copy dims
       else padded
 
-(** {!key} rendered as a stable string ("8x64"), the hashtable key used
-    by the batch former and the label shown in stats and trace spans. *)
+(** {!key} rendered as a stable string ("8x64"), what a worker compares
+    to group queued requests and the label shown in stats and trace
+    spans. *)
 let key_string policy dims =
   String.concat "x" (Array.to_list (Array.map string_of_int (key policy dims)))
 

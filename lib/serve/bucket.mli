@@ -1,4 +1,5 @@
-(** Shape buckets: the grouping key of the dynamic batcher.
+(** Shape buckets: the key by which a worker groups queued requests into
+    a batch.
 
     Bucketing decides which requests share a batch (and therefore a
     worker's warm arenas and register frame); it never changes numerics,
@@ -23,8 +24,9 @@ val default : policy
 (** The bucket shape for the given dims (a fresh array). *)
 val key : policy -> int array -> int array
 
-(** {!key} rendered as a stable ["8x64"]-style string — the batch
-    former's hashtable key and the label in stats and trace spans. *)
+(** {!key} rendered as a stable ["8x64"]-style string — what a worker
+    compares to group queued requests, and the label in stats and trace
+    spans. *)
 val key_string : policy -> int array -> string
 
 (** Human-readable policy description (CLI banners, docs). *)

@@ -2,22 +2,20 @@
     VM workers.
 
     {v
-      clients --submit--> [pending queue] --> batch former --> [batch queue]
-                 (bounded: full = reject)     (bucket, wait)      (bounded)
-                                                                     |
-                                             workers <---------------+
-                                      (one Interp + ctx each,
-                                       warm arenas + frames)
+      clients --submit--> [pending queue] --pop_batch--> workers
+                 (bounded: full = reject)  (oldest request  (one Interp + ctx
+                                            + bucket-mates)  each, warm arenas
+                                                             and frames)
     v}
 
     - {b Admission}: {!submit} never blocks. A full pending queue is an
       immediate [Error Rejected] — backpressure by refusal, so a stalled
       server sheds load instead of queueing unboundedly.
-    - {b Batching}: the batch former groups requests by {!Bucket} key.
-      A bucket flushes when it reaches [max_batch] requests or its
-      oldest member has waited [max_wait_us], whichever comes first, so
-      a lone request never waits more than the knob allows. Distinct
-      buckets accumulate independently (no head-of-line blocking).
+    - {b Batching}: an idle worker takes the oldest pending request plus
+      up to [max_batch - 1] queued requests of the same {!Bucket} key,
+      in submission order; every other request stays queued in order.
+      A worker never waits for a batch to fill: batches form only from a
+      real backlog, so no request waits while a worker is idle.
     - {b Execution}: each worker owns one {!Nimble_vm.Interp.t} over the
       shared executable plus a reusable {!Nimble_vm.Interp.ctx}, so a
       steady-state request allocates neither a register frame nor (after
@@ -25,10 +23,10 @@
       {e exact} shape — bucketing affects scheduling and memory reuse
       only — so batched results are bitwise-identical to unbatched runs.
     - {b Deadlines}: a request whose deadline passes before execution —
-      checked both when a worker picks it up and when its bucket flushes
-      — is completed with [Error Timed_out] without running (admission
-      control for stale work); one that started executing runs to the
-      end.
+      checked when a worker takes its batch and again just before the
+      request runs — is completed with [Error Timed_out] without running
+      (admission control for stale work); one that started executing
+      runs to the end.
     - {b Failures}: a request whose execution fails completes with
       [Error (Failed failure)] carrying the VM's typed failure; the
       worker survives. Transient failures (injected faults in transient
@@ -38,7 +36,7 @@
       answered, the interpreter is rebuilt, and the worker keeps
       consuming (see [docs/ROBUSTNESS.md]).
     - {b Shutdown}: {!shutdown} closes admission, drains every queued
-      request through the workers, then joins all engine domains.
+      request through the workers, then joins the worker domains.
 
     When more than one worker runs, workers execute kernels under
     {!Nimble_parallel.Parallel.pinned_sequential}: request-level
@@ -73,8 +71,7 @@ type outcome = (Obj.t, error) result
 type config = {
   workers : int;  (** VM worker domains (each owns an interpreter) *)
   queue_capacity : int;  (** pending-queue bound; beyond it, reject *)
-  max_batch : int;  (** flush a bucket at this many requests *)
-  max_wait_us : float;  (** ... or when its oldest member waited this long *)
+  max_batch : int;  (** most same-bucket requests one worker takes at once *)
   policy : Bucket.policy;  (** shape-bucketing policy *)
   default_timeout_us : float option;
       (** deadline applied to requests submitted without one *)
@@ -100,7 +97,6 @@ let default_config =
     workers = 2;
     queue_capacity = 64;
     max_batch = 8;
-    max_wait_us = 2_000.0;
     policy = Bucket.default;
     default_timeout_us = None;
     max_retries = 3;
@@ -127,8 +123,6 @@ type request = {
 
 type ticket = cell
 
-type batch = { b_bucket : string; b_reqs : request list  (** submission order *) }
-
 type t = {
   cfg : config;
   exe : Nimble_vm.Exe.t;
@@ -142,9 +136,7 @@ type t = {
       (** SLO-aware admission controller: consulted (and fed service
           observations) only when the caller attached one *)
   pending : request Squeue.t;
-  batches : batch Squeue.t;
-  paused : bool Atomic.t;
-  mutable batcher : unit Domain.t option;
+  form_mux : Mutex.t;  (** held by the one worker forming a batch *)
   mutable workers : unit Domain.t list;
   mutable stopped : bool;  (** set by [shutdown]; guarded by [stop_mux] *)
   stop_mux : Mutex.t;
@@ -293,6 +285,38 @@ let exec_request t vm ctx ~worker_id (r : request) =
       ]
   end
 
+(* Deadline check on a batch a worker just took: members whose deadline
+   passed while queued are answered [Timed_out] here and never run
+   ([shed_flush]); the live rest, if any, is counted and traced as one
+   [serve.batch]. A member that expires later, while an earlier member
+   runs, is a [timeouts] at execution instead: separate counters, same
+   client-visible outcome. *)
+let form_batch t reqs =
+  let t_now = now () in
+  let live, dead = List.partition (fun r -> not (expired r t_now)) reqs in
+  List.iter
+    (fun r ->
+      Stats.record_shed_flush t.stats;
+      fill r.cell (Error Timed_out))
+    dead;
+  (match live with
+  | [] -> ()
+  | r :: _ ->
+      Stats.record_batch t.stats ~size:(List.length live);
+      record_span t ~name:"serve.batch" ~ts_us:(trace_now t) ~dur_us:0.0
+        [ ("bucket", Trace.Str r.bucket); ("size", Trace.Int (List.length live)) ]);
+  live
+
+(* Block until the pending queue yields a batch ([None] once it is closed
+   and drained). Workers take turns under [form_mux], so the [serve.batch]
+   spans of a bucket are recorded in queue order: a trace reader joins a
+   bucket's k-th accepted request to the k-th member of its batches. *)
+let next_batch t =
+  Mutex.protect t.form_mux (fun () ->
+      Squeue.pop_batch t.pending ~max:t.cfg.max_batch
+        ~same:(fun a b -> String.equal a.bucket b.bucket)
+      |> Option.map (form_batch t))
+
 let worker_main t worker_id () =
   (* one interpreter and one execution context per worker: private
      storage arenas and a private register frame, both reused across
@@ -324,8 +348,8 @@ let worker_main t worker_id () =
     | dims -> Some (Array.of_list dims)
     | exception _ -> None
   in
-  let warm_bucket vm (b : batch) =
-    match bucket_dims b.b_bucket with
+  let warm_bucket vm bucket =
+    match bucket_dims bucket with
     | None -> ()
     | Some dims ->
         let ts_us = trace_now t in
@@ -337,12 +361,12 @@ let worker_main t worker_id () =
           record_span t ~name:"serve.arena_bind" ~ts_us
             ~dur_us:(trace_now t -. ts_us)
             [
-              ("bucket", Trace.Str b.b_bucket);
+              ("bucket", Trace.Str bucket);
               ("worker", Trace.Int worker_id);
               ("plans", Trace.Int bound);
             ]
   in
-  let run_batch (b : batch) =
+  let run_batch bucket reqs =
     Fault.check "worker_loop";
     let vm, ctx = !state in
     let ts_us = trace_now t in
@@ -351,8 +375,8 @@ let worker_main t worker_id () =
     let hits0 = prof.Nimble_vm.Profiler.pool_hits in
     let allocs0 = Nimble_vm.Profiler.allocs prof in
     let rebinds0 = prof.Nimble_vm.Profiler.arena_rebinds in
-    warm_bucket vm b;
-    List.iter (exec_request t vm ctx ~worker_id) b.b_reqs;
+    warm_bucket vm bucket;
+    List.iter (exec_request t vm ctx ~worker_id) reqs;
     (* one hotness observation per executed batch: cheap (an atomic
        increment), and every [scan_interval]-th call walks the dispatch
        registry for hot extents to re-tune in the background *)
@@ -364,8 +388,8 @@ let worker_main t worker_id () =
       ~arena_reuses:(prof.Nimble_vm.Profiler.arena_rebinds - rebinds0);
     record_span t ~name:"serve.batch_exec" ~ts_us ~dur_us:(trace_now t -. ts_us)
       [
-        ("bucket", Trace.Str b.b_bucket);
-        ("size", Trace.Int (List.length b.b_reqs));
+        ("bucket", Trace.Str bucket);
+        ("size", Trace.Int (List.length reqs));
         ("worker", Trace.Int worker_id);
       ]
   in
@@ -375,10 +399,10 @@ let worker_main t worker_id () =
      client blocked in [wait]. Answer whatever the dead run left unfilled,
      rebuild the interpreter (its pool may be mid-mutation), and keep
      consuming. *)
-  let supervise_batch (b : batch) =
+  let supervise_batch bucket reqs =
     try
-      if pin then Parallel.pinned_sequential (fun () -> run_batch b)
-      else run_batch b
+      if pin then Parallel.pinned_sequential (fun () -> run_batch bucket reqs)
+      else run_batch bucket reqs
     with e ->
       let msg =
         match e with
@@ -391,7 +415,7 @@ let worker_main t worker_id () =
           if try_fill r.cell (Error (Failed fl)) then
             Stats.record_failure t.stats
               ~kind:(Interp.kind_name fl.Interp.fail_kind))
-        b.b_reqs;
+        reqs;
       Stats.record_worker_restart t.stats;
       record_span t ~name:"serve.worker_restart" ~ts_us:(trace_now t)
         ~dur_us:0.0
@@ -400,102 +424,19 @@ let worker_main t worker_id () =
       warm_from_hints (fst !state)
   in
   let rec loop () =
-    match Squeue.pop t.batches with
+    match next_batch t with
     | None -> ()
-    | Some b ->
-        supervise_batch b;
+    | Some [] -> loop ()
+    | Some (r :: _ as reqs) ->
+        supervise_batch r.bucket reqs;
         loop ()
   in
   loop ()
 
-(* --------------------------- batch former --------------------------- *)
-
-(* Per-bucket accumulation: requests are appended in submission order
-   and flushed as one batch when full or due. *)
-type slot = { first_s : float; mutable rev_reqs : request list; mutable count : int }
-
-let batcher_main t () =
-  let stash : (string, slot) Hashtbl.t = Hashtbl.create 8 in
-  let flush bucket slot =
-    Hashtbl.remove stash bucket;
-    (* re-check deadlines at flush time: a request can expire while
-       stashed (waiting for batch-mates), not only while queued — without
-       this it would be pushed to a worker and execute stale *)
-    let t_now = now () in
-    let live, dead =
-      List.partition (fun r -> not (expired r t_now)) (List.rev slot.rev_reqs)
-    in
-    (* attribution matters for the fleet bench: a request dying here was
-       shed before any worker touched it, which is cheap; one dying at
-       worker pickup wasted a queue slot. Separate counters, same
-       client-visible outcome. *)
-    List.iter
-      (fun r ->
-        Stats.record_shed_flush t.stats;
-        fill r.cell (Error Timed_out))
-      dead;
-    if live <> [] then begin
-      Stats.record_batch t.stats ~size:(List.length live);
-      record_span t ~name:"serve.batch" ~ts_us:(trace_now t) ~dur_us:0.0
-        [ ("bucket", Trace.Str bucket); ("size", Trace.Int (List.length live)) ];
-      (* blocking push: when workers fall behind, backpressure propagates
-         here, the pending queue fills, and admission starts rejecting *)
-      ignore (Squeue.push t.batches { b_bucket = bucket; b_reqs = live })
-    end
-  in
-  let flush_due ~all =
-    let due_limit = now () -. (t.cfg.max_wait_us /. 1e6) in
-    let picks =
-      Hashtbl.fold
-        (fun b s acc -> if all || s.first_s <= due_limit then (b, s) :: acc else acc)
-        stash []
-    in
-    (* flush oldest-first so FIFO order across buckets is approximated *)
-    List.iter
-      (fun (b, s) -> flush b s)
-      (List.sort (fun (_, a) (_, b) -> Float.compare a.first_s b.first_s) picks)
-  in
-  let accept r =
-    Stats.observe_queue_depth t.stats (Squeue.length t.pending + 1);
-    let slot =
-      match Hashtbl.find_opt stash r.bucket with
-      | Some s -> s
-      | None ->
-          let s = { first_s = now (); rev_reqs = []; count = 0 } in
-          Hashtbl.replace stash r.bucket s;
-          s
-    in
-    slot.rev_reqs <- r :: slot.rev_reqs;
-    slot.count <- slot.count + 1;
-    if slot.count >= t.cfg.max_batch then flush r.bucket slot
-  in
-  let running = ref true in
-  while !running do
-    if Atomic.get t.paused then Unix.sleepf 0.001
-    else if Hashtbl.length stash = 0 then begin
-      (* nothing in flight: block for the next request (or drain signal) *)
-      match Squeue.pop t.pending with
-      | Some r -> accept r
-      | None ->
-          running := false (* closed and drained *)
-    end
-    else begin
-      (match Squeue.try_pop t.pending with
-      | Some r -> accept r
-      | None ->
-          if Squeue.closed t.pending then flush_due ~all:true
-          else (* bounded wait for stragglers, then re-check deadlines *)
-            Unix.sleepf (Float.min 0.0002 (t.cfg.max_wait_us /. 1e6 /. 4.0)));
-      flush_due ~all:false
-    end
-  done;
-  flush_due ~all:true;
-  Squeue.close t.batches
-
 (* ------------------------------ lifecycle ----------------------------- *)
 
-(** Start an engine over a linked executable: spawns the batch former
-    and [config.workers] VM worker domains. @param func the VM function
+(** Start an engine over a linked executable: spawns exactly
+    [config.workers] VM worker domains. @param func the VM function
     served (default ["main"]). @param trace record [serve.*] spans into
     this recorder (shared with nothing else; the engine serializes its
     own writes). @param autotune attach an online shape specializer: the
@@ -521,9 +462,7 @@ let create ?(config = default_config) ?trace ?autotune ?admission
       autotune;
       admission;
       pending = Squeue.create ~capacity:config.queue_capacity;
-      batches = Squeue.create ~capacity:(Stdlib.max config.workers (config.queue_capacity / Stdlib.max 1 config.max_batch) + 1);
-      paused = Atomic.make false;
-      batcher = None;
+      form_mux = Mutex.create ();
       workers = [];
       stopped = false;
       stop_mux = Mutex.create ();
@@ -546,7 +485,6 @@ let create ?(config = default_config) ?trace ?autotune ?admission
                   (Fmt.str "%.3f" i.Nimble_codegen.Autotune.in_hit_rate_before) );
             ]))
     autotune;
-  t.batcher <- Some (Domain.spawn (batcher_main t));
   t.workers <-
     List.init config.workers (fun i -> Domain.spawn (worker_main t i));
   t
@@ -607,26 +545,25 @@ let run ?timeout_us t ~shape input =
   | Error e -> Error e
   | Ok tk -> wait tk
 
-(** Stop forming batches (the pending queue keeps filling — admission
-    starts rejecting once it is full). For tests and drain drills. *)
-let pause t = Atomic.set t.paused true
+(** Stop workers from taking requests (the pending queue keeps filling —
+    admission starts rejecting once it is full). For tests and drain
+    drills. *)
+let pause t = Squeue.hold t.pending
 
-(** Resume batch formation after {!pause}. *)
-let resume t = Atomic.set t.paused false
+(** Let workers take requests again after {!pause}. *)
+let resume t = Squeue.release t.pending
 
-(** Close admission, drain all in-flight work through the workers, join
-    every engine domain. Idempotent; concurrent calls are serialized. *)
+(** Close admission, drain all in-flight work through the workers (even
+    when paused), join the worker domains. Idempotent; concurrent calls
+    are serialized. *)
 let shutdown t =
   Mutex.lock t.stop_mux;
   let first = not t.stopped in
   t.stopped <- true;
   Mutex.unlock t.stop_mux;
   if first then begin
-    Atomic.set t.paused false;
     Squeue.close t.pending;
     Stats.observe_queue_depth t.stats (Squeue.high_water t.pending);
-    Option.iter Domain.join t.batcher;
-    t.batcher <- None;
     List.iter Domain.join t.workers;
     t.workers <- []
   end

@@ -2,11 +2,12 @@
     VM workers (architecture and tuning guide: [docs/SERVING.md]).
 
     Requests are admitted through a bounded queue (full = immediate
-    reject, never blocking), grouped by {!Bucket} key until a bucket
-    reaches [max_batch] or its oldest request has waited [max_wait_us],
-    and executed by worker domains that each own a warm
-    {!Nimble_vm.Interp.t} (reused storage arenas) and
-    {!Nimble_vm.Interp.ctx} (reused register frame). Every request runs
+    reject, never blocking) and executed by worker domains that each own
+    a warm {!Nimble_vm.Interp.t} (reused storage arenas) and
+    {!Nimble_vm.Interp.ctx} (reused register frame). An idle worker
+    takes the oldest queued request plus up to [max_batch - 1] queued
+    requests of the same {!Bucket} key; it never waits for a batch to
+    fill, so no request waits while a worker is idle. Every request runs
     at its exact shape, so batched results are bitwise-identical to
     unbatched runs.
 
@@ -20,8 +21,9 @@
 type error =
   | Rejected  (** admission refused: the submission queue was full *)
   | Timed_out
-      (** the deadline passed before execution started (checked at worker
-          pickup and again when a stashed bucket flushes) *)
+      (** the deadline passed before execution started (checked when a
+          worker takes the request's batch and again just before it
+          runs) *)
   | Shed
       (** SLO-aware admission refused the request: given current queue
           depth and the observed service-time estimate its deadline
@@ -40,8 +42,7 @@ type outcome = (Nimble_vm.Obj.t, error) result
 type config = {
   workers : int;  (** VM worker domains (each owns an interpreter) *)
   queue_capacity : int;  (** pending-queue bound; beyond it, reject *)
-  max_batch : int;  (** flush a bucket at this many requests *)
-  max_wait_us : float;  (** ... or when its oldest member waited this long *)
+  max_batch : int;  (** most same-bucket requests one worker takes at once *)
   policy : Bucket.policy;  (** shape-bucketing policy *)
   default_timeout_us : float option;
       (** deadline applied to requests submitted without one *)
@@ -61,7 +62,7 @@ type config = {
           batch) *)
 }
 
-(** 2 workers, capacity 64, batches of up to 8 formed within 2 ms,
+(** 2 workers, capacity 64, batches of up to 8 queued requests,
     {!Bucket.default} padding, no default deadline; up to 3 transient
     retries starting at 200 µs backoff, no pool cap, no warm hints. *)
 val default_config : config
@@ -71,7 +72,7 @@ type t
 (** A claim on one submitted request's eventual {!outcome}. *)
 type ticket
 
-(** Start an engine over a linked executable: spawns the batch former and
+(** Start an engine over a linked executable: spawns exactly
     [config.workers] VM worker domains.
     @param func the VM function served (default ["main"]).
     @param trace record [serve.*] spans into this recorder.
@@ -105,15 +106,15 @@ val wait : ticket -> outcome
 val run :
   ?timeout_us:float -> t -> shape:int array -> Nimble_vm.Obj.t -> outcome
 
-(** Stop forming batches (admission keeps queueing, then rejecting when
-    the queue fills). For tests and drain drills. *)
+(** Stop workers from taking requests (admission keeps queueing, then
+    rejecting when the queue fills). For tests and drain drills. *)
 val pause : t -> unit
 
-(** Resume batch formation after {!pause}. *)
+(** Let workers take requests again after {!pause}. *)
 val resume : t -> unit
 
-(** Close admission, drain in-flight work, join all engine domains.
-    Idempotent. *)
+(** Close admission, drain in-flight work (even when paused), join the
+    worker domains. Idempotent. *)
 val shutdown : t -> unit
 
 (** Frozen statistics snapshot (callable while serving). *)

@@ -2,7 +2,7 @@
     and a latency reservoir summarized as p50/p99.
 
     All recorders take the engine-wide mutex, so any domain (submitters,
-    the batch former, VM workers) can report. [summary] freezes a
+    VM workers) can report. [summary] freezes a
     consistent snapshot; [summary_to_json] renders the [server] section
     embedded in [nimble-profile/v1] documents (see
     [docs/OBSERVABILITY.md]). *)
@@ -16,11 +16,11 @@ type t = {
       (** refused at admission by SLO control: the deadline provably
           could not be met, so the request never entered the queue *)
   mutable shed_flush : int;
-      (** deadline passed while stashed in the batch former; shed at
-          flush without ever reaching a worker *)
+      (** deadline passed while queued; found when a worker formed its
+          batch, so the request never ran *)
   mutable timeouts : int;
-      (** deadline passed between flush and worker pickup; the request
-          reached a worker but was not executed *)
+      (** deadline passed inside a taken batch, while earlier members
+          ran; the request reached a worker but was not executed *)
   mutable errors : int;  (** VM faults surfaced to the client *)
   mutable batches : int;
   mutable queue_depth_hwm : int;
@@ -76,8 +76,8 @@ let record_timeout t = locked t (fun () -> t.timeouts <- t.timeouts + 1)
 let record_shed_admission t =
   locked t (fun () -> t.shed_admission <- t.shed_admission + 1)
 
-(** One request whose deadline passed while stashed in the batch former,
-    shed at flush time (never reached a worker). *)
+(** One request whose deadline passed while queued, found when a worker
+    formed its batch (it never ran). *)
 let record_shed_flush t =
   locked t (fun () -> t.shed_flush <- t.shed_flush + 1)
 let record_error t = locked t (fun () -> t.errors <- t.errors + 1)

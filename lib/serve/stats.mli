@@ -14,8 +14,8 @@ val record_submit : t -> unit
 (** One request refused at admission (pending queue full). *)
 val record_reject : t -> unit
 
-(** One request whose deadline passed between flush and worker pickup
-    (it reached a worker but was not executed). *)
+(** One request whose deadline passed inside a taken batch, while
+    earlier members ran (it reached a worker but was not executed). *)
 val record_timeout : t -> unit
 
 (** One request refused by SLO-aware admission control: its deadline
@@ -23,8 +23,8 @@ val record_timeout : t -> unit
     ([docs/SERVING.md]). *)
 val record_shed_admission : t -> unit
 
-(** One request whose deadline passed while stashed in the batch former,
-    shed at flush time (it never reached a worker). *)
+(** One request whose deadline passed while queued, found when a worker
+    formed its batch (it never ran). *)
 val record_shed_flush : t -> unit
 
 (** One request completed with a non-VM error (no typed failure). *)
@@ -65,10 +65,11 @@ type summary = {
       (** refused by SLO-aware admission control (deadline provably
           unmeetable; never queued) *)
   s_shed_flush : int;
-      (** deadline passed while stashed in the batch former; shed at
-          flush, never reached a worker *)
+      (** deadline passed while queued; found when a worker formed its
+          batch, so the request never ran *)
   s_timeouts : int;
-      (** deadline passed between flush and worker pickup *)
+      (** deadline passed inside a taken batch, while earlier members
+          ran *)
   s_errors : int;  (** VM faults surfaced to clients *)
   s_batches : int;
   s_queue_depth_hwm : int;

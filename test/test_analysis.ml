@@ -357,15 +357,6 @@ let test_pipeline_clean_gpu () =
           (Nimble_models.Lstm.init_weights Nimble_models.Lstm.small_config) );
     ]
 
-let test_verify_passes_off () =
-  let _, report =
-    Nimble.compile_with_report
-      ~options:{ Nimble.default_options with Nimble.verify_passes = false }
-      (snd (List.hd (example_modules ())))
-  in
-  Alcotest.(check int) "no verify stats when disabled" 0
-    (List.length report.Nimble.verify)
-
 (* ------------------------------------------------------------------ *)
 (* IR-dialect lints on hand-built violating modules                    *)
 (* ------------------------------------------------------------------ *)
@@ -749,7 +740,6 @@ let () =
           Alcotest.test_case "zoo models verify clean" `Quick test_pipeline_clean_zoo;
           Alcotest.test_case "examples verify clean" `Quick test_pipeline_clean_examples;
           Alcotest.test_case "gpu placement verifies clean" `Quick test_pipeline_clean_gpu;
-          Alcotest.test_case "verify_passes off" `Quick test_verify_passes_off;
         ] );
       ( "lints",
         [

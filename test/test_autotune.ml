@@ -388,8 +388,9 @@ let test_warm_restart_pretuned () =
 (* ------------------------ register compaction ------------------------ *)
 
 let test_compact_registers () =
-  let loose = { sparse_opts with Nimble.compact_registers = false } in
-  let exe = Nimble.compile ~options:loose (make_module shared_w) in
+  (* the pipeline without its final compaction: optimize, then emit *)
+  let optimized, _ = Nimble.optimize ~options:sparse_opts (make_module shared_w) in
+  let exe = Emitter.emit_module ~options:link_options optimized in
   let x = Tensor.randn rng [| 9; feature_dim |] in
   let reference = Interp.run_tensors (Interp.create exe) [ x ] in
   let before = Compact.register_count exe in
@@ -452,7 +453,6 @@ let test_chaos_install_under_faults () =
               Serve.Engine.workers = 2;
               queue_capacity = 256;
               max_batch = 4;
-              max_wait_us = 300.0;
             }
           ~autotune:au exe
       in

@@ -61,7 +61,6 @@ let test_chaos_drain () =
               workers = 2;
               queue_capacity = 256;
               max_batch = 4;
-              max_wait_us = 300.0;
             }
           exe
       in
@@ -122,7 +121,6 @@ let test_retry_transient () =
               Engine.default_config with
               workers = 1;
               max_batch = 1;
-              max_wait_us = 100.0;
               max_retries = 10;
               retry_backoff_us = 50.0;
             }

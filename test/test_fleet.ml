@@ -52,7 +52,6 @@ let fleet_config ~total_workers =
         Engine.workers = 1;
         queue_capacity = 16;
         max_batch = 4;
-        max_wait_us = 200.0;
       };
     admission = Some Admission.default_config;
     breaker = Some Breaker.default_config;

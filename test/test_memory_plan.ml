@@ -141,7 +141,6 @@ let test_served_bitwise_with_arena_reuse () =
           workers = 2;
           queue_capacity = 128;
           max_batch = 4;
-          max_wait_us = 300.0;
         }
       exe
   in
@@ -202,7 +201,6 @@ let test_chaos_storage_alloc_on_arena () =
               workers = 1;
               queue_capacity = 64;
               max_batch = 1;
-              max_wait_us = 100.0;
               max_retries = 12;
               retry_backoff_us = 20.0;
               policy = Bucket.Exact;

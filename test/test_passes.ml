@@ -93,6 +93,24 @@ let test_cse_respects_branches () =
   (* each branch keeps its own copy: CSE must not move either out *)
   Alcotest.(check int) "two relus (one per branch)" 2 (count_op "relu" fn.Expr.body)
 
+(* CSE identifies constants within one function only, so a compile pins
+   none of its weights: once the module and its executable are dropped,
+   the constant tensor can be collected. *)
+let test_cse_does_not_pin_constants () =
+  let weak = Weak.create 1 in
+  let[@inline never] compile_and_drop () =
+    let w = Tensor.randn (Rng.create ~seed:5) [| 4; 6 |] in
+    Weak.set weak 0 (Some w);
+    let x = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; s 6 ]) "x" in
+    let body = Expr.op_call "relu" [ Expr.op_call "dense" [ Expr.Var x; Expr.Const w ] ] in
+    ignore
+      (Sys.opaque_identity
+         (Nimble_compiler.Nimble.compile (Irmod.of_main (Expr.fn_def [ x ] body))))
+  in
+  compile_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "constant collected" false (Weak.check weak 0)
+
 (* ---------------------------- const fold ---------------------------- *)
 
 let test_const_fold () =
@@ -366,6 +384,8 @@ let () =
         [
           Alcotest.test_case "dedupes" `Quick test_cse_dedupes;
           Alcotest.test_case "branch isolation" `Quick test_cse_respects_branches;
+          Alcotest.test_case "does not pin constants" `Quick
+            test_cse_does_not_pin_constants;
         ] );
       ( "const_fold",
         [

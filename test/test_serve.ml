@@ -100,6 +100,62 @@ let test_squeue_close_race () =
   Alcotest.(check bool) "closed rejects" false (Squeue.try_push q 0);
   Alcotest.(check (option int)) "closed pop" None (Squeue.pop q)
 
+(* pop_batch takes the oldest element plus its later matches, in order,
+   up to [max], and leaves everything else queued in order; a hold stops
+   consumers while producers fill the queue, and close overrides it. *)
+let test_squeue_pop_batch_hold () =
+  let opt_list = Alcotest.(option (list int)) in
+  (* the bucket of [x] is its last digit *)
+  let same a b = a mod 10 = b mod 10 in
+  let q = Squeue.create ~capacity:8 in
+  List.iter
+    (fun x -> Alcotest.(check bool) "push" true (Squeue.try_push q x))
+    [ 11; 12; 21; 31; 22; 41; 13; 51 ];
+  Alcotest.check opt_list "oldest + matches, capped by max" (Some [ 11; 21; 31 ])
+    (Squeue.pop_batch q ~max:3 ~same);
+  Alcotest.check opt_list "non-matching kept their order" (Some [ 12; 22 ])
+    (Squeue.pop_batch q ~max:8 ~same);
+  Alcotest.check opt_list "matches skip over others" (Some [ 41; 51 ])
+    (Squeue.pop_batch q ~max:8 ~same);
+  Alcotest.check opt_list "a lone element" (Some [ 13 ]) (Squeue.pop_batch q ~max:8 ~same);
+  Alcotest.(check int) "empty" 0 (Squeue.length q);
+  (* a hold blocks consumers while producers fill the queue *)
+  Squeue.hold q;
+  let taken = Atomic.make 0 in
+  let consumer =
+    Domain.spawn (fun () ->
+        let b = Squeue.pop_batch q ~max:8 ~same:(fun _ _ -> true) in
+        Atomic.set taken (match b with Some l -> List.length l | None -> -1);
+        b)
+  in
+  for i = 1 to 8 do
+    Alcotest.(check bool) "push while held" true (Squeue.try_push q i)
+  done;
+  Alcotest.(check bool) "held queue still refuses at capacity" false (Squeue.try_push q 9);
+  Unix.sleepf 0.02;
+  Alcotest.(check int) "held: nothing taken" 0 (Atomic.get taken);
+  Alcotest.(check int) "held: queue full" 8 (Squeue.length q);
+  Squeue.release q;
+  Alcotest.check opt_list "release wakes the consumer" (Some [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+    (Domain.join consumer);
+  (* close overrides a hold: a blocked consumer drains, then sees None *)
+  List.iter (fun x -> ignore (Squeue.try_push q x)) [ 1; 2; 3 ];
+  Squeue.hold q;
+  let drainer =
+    Domain.spawn (fun () ->
+        let rec drain acc =
+          match Squeue.pop_batch q ~max:2 ~same:(fun _ _ -> true) with
+          | Some b -> drain (acc @ [ b ])
+          | None -> acc
+        in
+        drain [])
+  in
+  Unix.sleepf 0.01;
+  Squeue.close q;
+  Alcotest.(check (list (list int))) "close drains a held queue" [ [ 1; 2 ]; [ 3 ] ]
+    (Domain.join drainer);
+  Alcotest.(check (option int)) "then pop sees None" None (Squeue.pop q)
+
 (* --------------------------- warm exe cache --------------------------- *)
 
 let test_cache_roundtrip () =
@@ -157,7 +213,6 @@ let test_concurrent_bitwise () =
           Engine.default_config with
           workers = 2;
           max_batch = 4;
-          max_wait_us = 500.0;
           queue_capacity = 256;
         }
       exe
@@ -210,21 +265,18 @@ let test_engine_backpressure () =
           workers = 1;
           queue_capacity = 4;
           max_batch = 64;
-          max_wait_us = 100.0;
         }
       exe
   in
   Engine.pause engine;
   let x = Tensor.randn rng [| 2; feature_dim |] in
-  (* the batcher may stash at most one request before it sees the pause,
-     so 6+ rapid submits must overflow a capacity-4 queue *)
+  (* a paused engine takes nothing from the queue: exactly the 4 submits
+     beyond its capacity are refused *)
   let results =
     List.init 8 (fun _ -> Engine.submit engine ~shape:[| 2 |] (Obj.tensor x))
   in
   let rejected = List.length (List.filter Result.is_error results) in
-  Alcotest.(check bool)
-    (Printf.sprintf "full queue rejects (got %d)" rejected)
-    true (rejected >= 1);
+  Alcotest.(check int) "full queue rejects the overflow" (8 - 4) rejected;
   Engine.resume engine;
   List.iter
     (function Ok tk -> (match Engine.wait tk with
@@ -265,12 +317,69 @@ let test_engine_timeout () =
     tickets;
   Engine.shutdown engine;
   let s = Engine.stats engine in
-  (* paused-then-expired requests die at flush time, before any worker
-     touches them: they land in shed_flush, not in the worker-pickup
-     timeouts counter (the client-visible error is Timed_out either way) *)
-  Alcotest.(check int) "shed at flush" 3 s.Stats.s_shed_flush;
-  Alcotest.(check int) "no pickup timeouts" 0 s.Stats.s_timeouts;
+  (* paused-then-expired requests die when a worker takes their batch,
+     before any of them runs: they land in shed_flush, not in the
+     timeouts counter of requests that expired inside a running batch
+     (the client-visible error is Timed_out either way) *)
+  Alcotest.(check int) "shed when the batch formed" 3 s.Stats.s_shed_flush;
+  Alcotest.(check int) "no in-batch timeouts" 0 s.Stats.s_timeouts;
   Alcotest.(check int) "none completed" 0 s.Stats.s_completed
+
+(* One worker takes the oldest queued request plus up to max_batch - 1
+   queued requests of its bucket, in order: A A B A A B A queued behind a
+   pause forms A×4, then B×2, then A×1 — and every output is bitwise what
+   a sequential run gives. *)
+let test_engine_batches_from_backlog () =
+  let exe = shared_exe () in
+  let tr = Nimble_vm.Trace.create () in
+  let engine =
+    Engine.create ~trace:tr
+      ~config:{ Engine.default_config with workers = 1; max_batch = 4 }
+      exe
+  in
+  (* rows 6..8 pad to bucket A = "8", rows 15..16 to bucket B = "16" *)
+  let rows = [ 7; 8; 16; 6; 8; 15; 7 ] in
+  let inputs = List.map (fun r -> Tensor.randn rng [| r; feature_dim |]) rows in
+  let vm = Interp.create exe in
+  let reference = List.map (fun x -> Interp.run_tensors vm [ x ]) inputs in
+  Engine.pause engine;
+  let tickets =
+    List.map2
+      (fun r x ->
+        match Engine.submit engine ~shape:[| r |] (Obj.tensor x) with
+        | Ok tk -> tk
+        | Error _ -> Alcotest.fail "unexpected reject")
+      rows inputs
+  in
+  Engine.resume engine;
+  List.iteri
+    (fun i (tk, want) ->
+      match Engine.wait tk with
+      | Ok (Obj.Tensor p) ->
+          Alcotest.check tensor_bitwise (Printf.sprintf "request %d" i) want p.Obj.data
+      | _ -> Alcotest.fail "request failed")
+    (List.combine tickets reference);
+  Engine.shutdown engine;
+  let s = Engine.stats engine in
+  Alcotest.(check int) "three batches" 3 s.Stats.s_batches;
+  Alcotest.(check (list (pair int int))) "batch sizes 4, 2, 1" [ (1, 1); (2, 1); (4, 1) ]
+    s.Stats.s_batch_hist;
+  let formed =
+    List.filter_map
+      (fun (sp : Nimble_vm.Trace.span) ->
+        if sp.Nimble_vm.Trace.name <> "serve.batch" then None
+        else
+          match
+            ( List.assoc_opt "bucket" sp.Nimble_vm.Trace.args,
+              List.assoc_opt "size" sp.Nimble_vm.Trace.args )
+          with
+          | Some (Nimble_vm.Trace.Str b), Some (Nimble_vm.Trace.Int n) -> Some (b, n)
+          | _ -> None)
+      (Nimble_vm.Trace.spans tr)
+  in
+  Alcotest.(check (list (pair string int))) "batches in queue order"
+    [ ("8", 4); ("16", 2); ("8", 1) ]
+    formed
 
 let test_shutdown_drains () =
   let exe = shared_exe () in
@@ -353,6 +462,7 @@ let () =
         [
           Alcotest.test_case "backpressure + drain" `Quick test_squeue_backpressure;
           Alcotest.test_case "close race with producers" `Quick test_squeue_close_race;
+          Alcotest.test_case "pop_batch, hold and release" `Quick test_squeue_pop_batch_hold;
         ] );
       ("cache", [ Alcotest.test_case "serialize->link round trip" `Quick test_cache_roundtrip ]);
       ( "engine",
@@ -361,6 +471,8 @@ let () =
             test_concurrent_bitwise;
           Alcotest.test_case "full queue rejects" `Quick test_engine_backpressure;
           Alcotest.test_case "deadline timeouts" `Quick test_engine_timeout;
+          Alcotest.test_case "batches form from the backlog" `Quick
+            test_engine_batches_from_backlog;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
         ] );
       ("loadgen", [ Alcotest.test_case "open-loop smoke" `Quick test_loadgen_smoke ]);

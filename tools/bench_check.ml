@@ -466,7 +466,7 @@ let check_compile file lineno json =
         checks
   | _ ->
       fail file lineno
-        "missing non-empty \"verify\" list (compile with verify_passes on)"
+        "missing non-empty \"verify\" list (every compile runs the lints and the bytecode verifier)"
 
 let check_table file lineno json =
   let str_member = str_member file lineno json in
