@@ -38,8 +38,7 @@ let build_module () =
 (* only 2 of the 8 residue kernels are compiled in, so the skewed mix's
    dominant extent (21 ≡ 5 mod 8) starts on the guarded fallback — the
    situation the online tuner exists to fix *)
-let compile_opts =
-  { Nimble.default_options with Nimble.dense_dispatch = Some 2; autotune = true }
+let compile_opts = { Nimble.default_options with Nimble.dense_dispatch = Some 2 }
 
 (* 80% of traffic at the uncovered extent, the rest on covered residues *)
 let hot_rows = 21
@@ -66,15 +65,11 @@ let make_inputs () =
     mix;
   fun ~shape -> Hashtbl.find tbl shape.(0)
 
-(* the dense dispatcher the model's packed kernel routes through (newest
-   registration wins across relinks) *)
+(* the dense dispatcher the model's packed kernel routes through *)
 let dispatcher exe =
-  Array.to_list exe.Nimble_vm.Exe.packed_names
-  |> List.filter_map (fun (name, kind) ->
-         match kind with `Kernel -> Dispatch.find ~name | `Shape_func -> None)
-  |> function
-  | d :: _ -> d
-  | [] -> failwith "autotune bench: no dense dispatcher registered"
+  match Nimble_vm.Exe.dispatchers exe with
+  | (_, d) :: _ -> d
+  | [] -> failwith "autotune bench: executable has no dense dispatcher"
 
 type phase = {
   ph_name : string;
@@ -150,24 +145,17 @@ let doc_json ~phases ~bitwise_ok ~warm_restart_pretuned : Json.t =
       ("warm_restart_pretuned", Json.Bool warm_restart_pretuned);
     ]
 
-let link_options =
-  {
-    Nimble_compiler.Emitter.dense_dispatch = compile_opts.Nimble.dense_dispatch;
-    profile_extern = compile_opts.Nimble.profile_extern;
-    guards = compile_opts.Nimble.runtime_guards;
-  }
-
 (* relink a serialized copy of [exe] exactly as a restarted server does
-   (the Cache cold path: decode, verify, link, replay the tune table) and
-   report whether the hot extent came back pre-specialized. [m] is the
-   processed module the executable was emitted from — kernel names are
-   baked into the artifact, so relinking must use the same module. *)
-let warm_restart_check ~m exe =
+   (decode, verify, relink by name from a fresh compile of the module,
+   replay the tune table) and report whether the hot extent came back
+   pre-specialized *)
+let warm_restart_check exe =
   let persisted = Serve.Cache.persist_tunes exe in
   let bytes = Nimble_vm.Serialize.to_bytes exe in
   let exe2 = Nimble_analysis.Verifier.of_bytes bytes in
-  List.iter (Nimble_vm.Exe.link exe2)
-    (Nimble_compiler.Emitter.link_table ~options:link_options m);
+  Nimble_vm.Exe.relink
+    ~from:(Nimble.compile ~options:compile_opts (build_module ()))
+    exe2;
   let applied = Serve.Cache.apply_tunes exe2 in
   let pretuned =
     Dispatch.pretuned (dispatcher exe2) ~extent:hot_rows <> None
@@ -175,15 +163,10 @@ let warm_restart_check ~m exe =
   persisted >= 1 && applied >= 1 && pretuned
 
 let run () =
-  (* the Cache cold path, inlined so the processed module stays in hand
-     for the warm-restart relink below *)
-  let m = build_module () in
-  let compiled = Nimble.compile ~options:compile_opts m in
-  let bytes = Nimble_vm.Serialize.to_bytes compiled in
-  let exe = Nimble_analysis.Verifier.of_bytes bytes in
-  List.iter (Nimble_vm.Exe.link exe)
-    (Nimble_compiler.Emitter.link_table ~options:link_options m);
-  ignore (Serve.Cache.apply_tunes exe);
+  let exe =
+    Serve.Cache.load ~options:compile_opts (Serve.Cache.create ())
+      ~name:"dense_relu" ~build:build_module
+  in
   (* reference output for the hot extent, captured before any install *)
   let inputs = make_inputs () in
   let hot_input = inputs ~shape:[| hot_rows |] in
@@ -207,7 +190,7 @@ let run () =
   let tuning = run_phase ~autotune:tuner ~name:"tuning" exe in
   (* close the loop: make sure the final window was scanned, then wait
      for the background installs to land before the re-tuned phase *)
-  Autotune.scan tuner;
+  Autotune.scan tuner [ dispatcher exe ];
   Autotune.drain tuner;
   Autotune.shutdown tuner;
   let summary = Autotune.summary tuner in
@@ -224,7 +207,7 @@ let run () =
         Tensor.equal a.Nimble_vm.Obj.data b.Nimble_vm.Obj.data
     | _ -> false
   in
-  let warm_restart_pretuned = warm_restart_check ~m exe in
+  let warm_restart_pretuned = warm_restart_check exe in
   let phases = [ before; tuning; after ] in
   if !Bench_util.json_mode then
     print_endline (Json.to_string (doc_json ~phases ~bitwise_ok ~warm_restart_pretuned))

@@ -264,18 +264,11 @@ let no_symbolic_plan_arg =
            per-request storage allocs instead of slots in a per-request-bound \
            reusable arena (the legacy behaviour; see docs/MEMORY.md)")
 
-let compile_options ?(autotune = false) ?autotune_threshold ?autotune_interval
-    ~no_guards ~no_symbolic_plan () =
-  let d = Nimble.default_options in
+let compile_options ~no_guards ~no_symbolic_plan () =
   {
-    d with
+    Nimble.default_options with
     Nimble.runtime_guards = not no_guards;
     Nimble.symbolic_plan = not no_symbolic_plan;
-    Nimble.autotune;
-    Nimble.autotune_threshold =
-      Option.value autotune_threshold ~default:d.Nimble.autotune_threshold;
-    Nimble.autotune_interval =
-      Option.value autotune_interval ~default:d.Nimble.autotune_interval;
   }
 
 (* ------------------------- autotuning ------------------------- *)
@@ -313,8 +306,8 @@ let autotune_interval_arg =
     & info [ "autotune-interval" ] ~docv:"N"
         ~doc:"Served batches between hotness scans (default from the tuner policy)")
 
-(** Fold the three flags into the compile-options fields, validating the
-    knobs. Returns [(enabled, threshold option, interval option)]. *)
+(** Fold the three flags into the tuner policy, validating the knobs:
+    [Some config] when [--autotune] is on, [None] otherwise. *)
 let autotune_term =
   let mk flag threshold interval =
     Option.iter
@@ -323,24 +316,23 @@ let autotune_term =
     Option.iter
       (fun n -> if n < 1 then die "--autotune-interval must be >= 1 (got %d)" n)
       interval;
-    (Option.value flag ~default:false, threshold, interval)
+    let d = Nimble_codegen.Autotune.default_config in
+    if Option.value flag ~default:false then
+      Some
+        {
+          d with
+          Nimble_codegen.Autotune.hot_threshold =
+            Option.value threshold ~default:d.Nimble_codegen.Autotune.hot_threshold;
+          scan_interval =
+            Option.value interval ~default:d.Nimble_codegen.Autotune.scan_interval;
+        }
+    else None
   in
   Term.(const mk $ autotune_flag_arg $ autotune_threshold_arg $ autotune_interval_arg)
 
-(** An {!Nimble_codegen.Autotune.t} for serving when the compiled options
-    ask for one, with the policy knobs taken from the options record. *)
-let make_autotuner (options : Nimble.options) =
-  if not options.Nimble.autotune then None
-  else
-    Some
-      (Nimble_codegen.Autotune.create
-         ~config:
-           {
-             Nimble_codegen.Autotune.default_config with
-             Nimble_codegen.Autotune.hot_threshold = options.Nimble.autotune_threshold;
-             scan_interval = options.Nimble.autotune_interval;
-           }
-         ())
+(** An {!Nimble_codegen.Autotune.t} for serving when [--autotune] asked for
+    one. *)
+let make_autotuner = Option.map (fun config -> Nimble_codegen.Autotune.create ~config ())
 
 (** Finish the specializer after the engine drained: wait for in-flight
     tuning, stop the tuning domain, and print a one-line summary. *)
@@ -972,19 +964,15 @@ let serve_cmd =
       report_out;
     Serve.Fleet.shutdown fleet
   in
-  let run model_opt models_spec knobs domains cfg
-      (au_on, au_threshold, au_interval) requests seq_min seq_max no_guards
-      no_symbolic_plan fault trace_out report_out =
+  let run model_opt models_spec knobs domains cfg autotune requests seq_min
+      seq_max no_guards no_symbolic_plan fault trace_out report_out =
     apply_domains domains;
     apply_fault fault;
     if requests < 1 then die "--requests must be >= 1 (got %d)" requests;
     if seq_min < 1 then die "--seq-min must be >= 1 (got %d)" seq_min;
     if seq_max < seq_min then
       die "--seq-max (%d) must be >= --seq-min (%d)" seq_max seq_min;
-    let options =
-      compile_options ~autotune:au_on ?autotune_threshold:au_threshold
-        ?autotune_interval:au_interval ~no_guards ~no_symbolic_plan ()
-    in
+    let options = compile_options ~no_guards ~no_symbolic_plan () in
     let tr =
       match trace_out with Some _ -> Some (Nimble_vm.Trace.create ()) | None -> None
     in
@@ -992,7 +980,7 @@ let serve_cmd =
     | Some _, Some _ -> die "pass either MODEL or --models, not both"
     | None, None -> die "name a MODEL or pass --models NAME[:w=N],..."
     | Some model, None ->
-        let autotuner = make_autotuner options in
+        let autotuner = make_autotuner autotune in
         serve_one model cfg options autotuner tr requests seq_min seq_max
           trace_out report_out
     | None, Some spec ->
@@ -1097,9 +1085,8 @@ let loadgen_cmd =
         | _ -> bad ())
     | _ -> bad ()
   in
-  let run model domains cfg (au_on, au_threshold, au_interval) rate duration
-      clients mix steady process seed json no_guards no_symbolic_plan fault
-      trace_out report_out =
+  let run model domains cfg autotune rate duration clients mix steady process
+      seed json no_guards no_symbolic_plan fault trace_out report_out =
     apply_domains domains;
     apply_fault fault;
     if rate <= 0.0 then die "--rate must be > 0 (got %g)" rate;
@@ -1120,15 +1107,12 @@ let loadgen_cmd =
         if w <= 0.0 then die "--mix weights must be > 0 (got %g)" w)
       mix_parsed;
     let entry = lookup model in
-    let options =
-      compile_options ~autotune:au_on ?autotune_threshold:au_threshold
-        ?autotune_interval:au_interval ~no_guards ~no_symbolic_plan ()
-    in
+    let options = compile_options ~no_guards ~no_symbolic_plan () in
     let exe = cache_load ~quiet:json ~options ~model entry in
     let tr =
       match trace_out with Some _ -> Some (Nimble_vm.Trace.create ()) | None -> None
     in
-    let autotuner = make_autotuner options in
+    let autotuner = make_autotuner autotune in
     let engine = Serve.Engine.create ~config:cfg ?trace:tr ?autotune:autotuner exe in
     let lcfg =
       {

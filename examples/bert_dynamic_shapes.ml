@@ -15,8 +15,7 @@ module Serialize = Nimble_vm.Serialize
 
 let () =
   let w = Bert.init_weights Bert.small_config in
-  let m = Bert.ir_module w in
-  let exe = Nimble.compile m in
+  let exe = Nimble.compile (Bert.ir_module w) in
   Fmt.pr "BERT (%d layers, hidden %d, %d heads), sequence dimension = Any@."
     w.Bert.config.Bert.num_layers w.Bert.config.Bert.hidden_size
     w.Bert.config.Bert.num_heads;
@@ -28,9 +27,10 @@ let () =
   Fmt.pr "saved executable: %s (%d bytes, %d instructions)@." path bytes
     (Nimble_vm.Exe.instruction_count exe);
 
-  (* Load it back and relink the platform-dependent kernels by name. *)
+  (* Load it back and relink the platform-dependent kernels by name from
+     a compile of the same module. *)
   let loaded = Serialize.load_file path in
-  List.iter (Nimble_vm.Exe.link loaded) (Nimble_compiler.Emitter.link_table m);
+  Nimble_vm.Exe.relink ~from:exe loaded;
   assert (Nimble_vm.Exe.linked loaded);
   Fmt.pr "reloaded and relinked %d packed functions@."
     (Array.length loaded.Nimble_vm.Exe.packed_names);

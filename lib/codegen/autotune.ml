@@ -2,12 +2,13 @@
     hot-shape profiling to live dispatch-table re-tuning (paper §4.5's
     workload-distribution extension; DyCL-style serve-time recompilation).
 
-    A hotness tracker scans the {!Dispatch} registry's exact-extent
-    histograms; when an extent's dispatch count crosses [hot_threshold], a
-    tuning task is queued to a single background domain (off the serve hot
-    path — at pool width 1 the shared pool has no worker domains, so the
-    tuner owns its own; its kernel measurements run under
-    [Parallel.pinned_sequential] so they never contend for pool workers).
+    A hotness tracker scans the exact-extent histograms of the dispatchers
+    it is handed (the serving engine passes those of its executable); when
+    an extent's dispatch count crosses [hot_threshold], a tuning task is
+    queued to a single background domain (off the serve hot path — at pool
+    width 1 the shared pool has no worker domains, so the tuner owns its
+    own; its kernel measurements run under [Parallel.pinned_sequential] so
+    they never contend for pool workers).
     The task runs {!Tuner.tune} with [shape_weights] from the observed
     distribution and the hot extent as stand-in, then installs the winner
     into the live table via {!Dispatch.install_tuned} — one CAS, no pause;
@@ -16,7 +17,7 @@
 
 type config = {
   hot_threshold : int;  (** dispatch count at which an extent is hot *)
-  scan_interval : int;  (** {!observe} calls between registry scans *)
+  scan_interval : int;  (** {!observe} calls between hotness scans *)
   max_exact : int;  (** live tuned-entry cap per dispatcher *)
   synchronous : bool;  (** run tuning inline on the calling domain (tests) *)
   repeats : int;  (** {!Tuner.measure} timed runs per point *)
@@ -51,7 +52,9 @@ type t = {
   mux : Mutex.t;
   cond : Condition.t;
   queue : task Queue.t;
-  pending : (string * int, unit) Hashtbl.t;  (** (kernel, extent) in queue/flight *)
+  mutable pending : (Dispatch.t * int) list;
+      (** (dispatcher, extent) queued or in flight; dispatchers compare
+          physically, since kernel names repeat across models *)
   mutable in_flight : int;
   mutable worker : unit Domain.t option;
   mutable stopped : bool;
@@ -69,7 +72,7 @@ let create ?(config = default_config) () =
     mux = Mutex.create ();
     cond = Condition.create ();
     queue = Queue.create ();
-    pending = Hashtbl.create 16;
+    pending = [];
     in_flight = 0;
     worker = None;
     stopped = false;
@@ -139,9 +142,11 @@ let run_task t task =
           },
           max 0 evicted )
 
+let same_task task (d, extent) = d == task.tk_dispatch && extent = task.tk_extent
+
 let finish t task outcome =
   Mutex.lock t.mux;
-  Hashtbl.remove t.pending (Dispatch.name task.tk_dispatch, task.tk_extent);
+  t.pending <- List.filter (fun p -> not (same_task task p)) t.pending;
   t.in_flight <- t.in_flight - 1;
   let notify = t.notify in
   (match outcome with
@@ -175,11 +180,12 @@ let worker_main t =
 (* Queue a task, lazily spawning the background domain; in synchronous mode
    run it inline instead. Caller holds no lock. *)
 let enqueue t task =
+  let is_new () = not (List.exists (same_task task) t.pending) in
   if t.cfg.synchronous then begin
     Mutex.lock t.mux;
-    let fresh = not (Hashtbl.mem t.pending (Dispatch.name task.tk_dispatch, task.tk_extent)) in
+    let fresh = is_new () in
     if fresh then begin
-      Hashtbl.replace t.pending (Dispatch.name task.tk_dispatch, task.tk_extent) ();
+      t.pending <- (task.tk_dispatch, task.tk_extent) :: t.pending;
       t.queued <- t.queued + 1;
       t.in_flight <- t.in_flight + 1
     end;
@@ -188,10 +194,8 @@ let enqueue t task =
   end
   else begin
     Mutex.lock t.mux;
-    if (not t.stopped)
-       && not (Hashtbl.mem t.pending (Dispatch.name task.tk_dispatch, task.tk_extent))
-    then begin
-      Hashtbl.replace t.pending (Dispatch.name task.tk_dispatch, task.tk_extent) ();
+    if (not t.stopped) && is_new () then begin
+      t.pending <- (task.tk_dispatch, task.tk_extent) :: t.pending;
       t.queued <- t.queued + 1;
       Queue.push task t.queue;
       if t.worker = None then t.worker <- Some (Domain.spawn (fun () -> worker_main t));
@@ -200,7 +204,7 @@ let enqueue t task =
     Mutex.unlock t.mux
   end
 
-let scan t =
+let scan t dispatchers =
   Mutex.lock t.mux;
   t.scans <- t.scans + 1;
   Mutex.unlock t.mux;
@@ -217,11 +221,11 @@ let scan t =
                  then
                    enqueue t
                      { tk_dispatch = d; tk_extent = extent; tk_hit_rate_before = rate }))
-    (Dispatch.registered ())
+    dispatchers
 
-let observe t =
+let observe t dispatchers =
   let n = Atomic.fetch_and_add t.observations 1 + 1 in
-  if n mod t.cfg.scan_interval = 0 then scan t
+  if n mod t.cfg.scan_interval = 0 then scan t dispatchers
 
 let drain t =
   Mutex.lock t.mux;

@@ -1,5 +1,6 @@
 (** Online profile-guided shape specialization: a hotness tracker over the
-    {!Dispatch} registry's exact-extent histograms queues background
+    exact-extent histograms of the dispatchers it is handed (the serving
+    engine passes its executable's) queues background
     {!Tuner.tune} runs for hot extents and installs the winners into live
     dispatch tables by atomic swap — serving never pauses and outputs stay
     bitwise-equal. Tune decisions persist via the NMBLEXE4 tune table
@@ -9,7 +10,7 @@
 (** Hotness/tuning policy knobs. *)
 type config = {
   hot_threshold : int;  (** dispatch count at which an extent is hot *)
-  scan_interval : int;  (** {!observe} calls between registry scans *)
+  scan_interval : int;  (** {!observe} calls between hotness scans *)
   max_exact : int;  (** live tuned-entry cap per dispatcher *)
   synchronous : bool;  (** run tuning inline on the calling domain (tests) *)
   repeats : int;  (** {!Tuner.measure} timed runs per point *)
@@ -49,15 +50,17 @@ val create : ?config:config -> unit -> t
 (** The policy the tracker was created with. *)
 val config : t -> config
 
-(** Count one serving step (the engine calls this per executed batch);
-    every [scan_interval] observations triggers {!scan}. *)
-val observe : t -> unit
+(** Count one serving step over [dispatchers] (the engine calls this per
+    executed batch with its executable's dispatchers); every
+    [scan_interval] observations triggers {!scan} of them. *)
+val observe : t -> Dispatch.t list -> unit
 
-(** Scan every registered dispatcher's extent histogram now and queue a
-    tuning task for each hot extent that is not already tuned or pending.
-    Dispatchers that have never run are skipped (their weight dims are
-    unknown). *)
-val scan : t -> unit
+(** Scan each given dispatcher's extent histogram now and queue a tuning
+    task for each hot extent that is not already tuned or pending. Pending
+    work is de-duplicated by dispatcher, not by kernel name, since names
+    repeat across models. Dispatchers that have never run are skipped
+    (their weight dims are unknown). *)
+val scan : t -> Dispatch.t list -> unit
 
 (** Fraction of [d]'s dispatch calls served by a specialized body (residue
     or tuned) rather than the guarded fallback, this measurement window. *)

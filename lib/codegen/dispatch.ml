@@ -8,9 +8,10 @@
     faster, and — closing the profile-guided loop — to exact-extent tuned
     kernels installed at serve time by {!Autotune} via an atomic table swap.
 
-    Every dispatcher keeps hit/miss counters (total and per residue), an
-    exact-extent histogram feeding the hotness tracker, and registers itself
-    in a process-wide table so the observability layer can report
+    Every dispatcher keeps hit/miss counters (total and per residue) and an
+    exact-extent histogram feeding the hotness tracker. The executable owns
+    its dispatchers (each packed kernel carries the one it routes through);
+    a process-wide list exists only so the observability layer can report
     dispatch-table statistics ({!snapshots}); {!last_selection} lets the VM
     trace attribute each kernel invocation to the specialization that
     actually fired. All shared state is domain-safe: counters are atomic,
@@ -51,11 +52,10 @@ type t = {
   observed_nk : (int * int) option Atomic.t;  (** last (n, k) seen by {!run} *)
 }
 
-(* Process-wide observability state: the dispatchers created so far (for
-   report aggregation and the autotune scan) and the most recent selection
-   (for trace attribution). Compilation creates a handful of dispatchers per
-   executable, so the registry stays small; it is CAS-prepended so relinks
-   racing with a background tuner never lose a registration. *)
+(* Process-wide observability state: the dispatchers created so far, read
+   only by {!snapshots} and {!reset_counters} (report aggregation), and the
+   most recent selection (for trace attribution). It is CAS-prepended so
+   compiles racing with a background tuner never lose a registration. *)
 let registry : t list Atomic.t = Atomic.make []
 
 (* Trace attribution is per-domain: each serve worker tags its own kernel
@@ -248,16 +248,6 @@ let snapshot_of t =
     snap_tuned = tuned_decisions t;
   }
 
-(** Every dispatcher created in this process, oldest first — the autotune
-    scan walks this. *)
-let registered () = List.rev (Atomic.get registry)
-
-(** The most recently created dispatcher named [name]. Relinking an
-    executable re-emits its dispatchers, so newest-first lookup resolves a
-    kernel name to the table actually wired into the live executable. *)
-let find ~name =
-  List.find_opt (fun t -> t.name = name) (Atomic.get registry)
-
 let fired t =
   Atomic.get t.hits + Atomic.get t.misses + Atomic.get t.extern_calls
   + Atomic.get t.tuned_calls
@@ -265,7 +255,8 @@ let fired t =
 
 (** Per-dispatcher counters for every dispatcher created in this process,
     oldest first, dispatchers that never fired excluded. *)
-let snapshots () = registered () |> List.filter fired |> List.map snapshot_of
+let snapshots () =
+  List.rev (Atomic.get registry) |> List.filter fired |> List.map snapshot_of
 
 (** Zero every registered dispatcher's counters and extent histograms,
     scoping the next {!snapshots} to one measurement window. Installed tuned

@@ -9,13 +9,15 @@
     online tuner ({!Autotune}) — see [docs/TUNING.md].
 
     Dispatchers also feed the observability layer: each keeps hit/miss
-    counters (total and per residue class) plus an exact-extent histogram,
-    and registers itself in a process-wide table read by {!snapshots};
-    {!last_selection} exposes the most recent routing decision so the VM
-    trace can attribute a kernel invocation to the specialization that
-    fired. All shared state is domain-safe: counters are atomic, routing
-    tables swap by CAS (readers never block), and the last-selection slot is
-    domain-local. *)
+    counters (total and per residue class) plus an exact-extent histogram.
+    An executable owns its dispatchers — each packed kernel carries the one
+    it routes through ([Nimble_vm.Exe.dispatchers]) — and a process-wide
+    list of every dispatcher is kept only for {!snapshots} and
+    {!reset_counters}. {!last_selection} exposes the most recent routing
+    decision so the VM trace can attribute a kernel invocation to the
+    specialization that fired. All shared state is domain-safe: counters
+    are atomic, routing tables swap by CAS (readers never block), and the
+    last-selection slot is domain-local. *)
 
 open Nimble_tensor
 
@@ -122,14 +124,6 @@ type snapshot = {
 
 (** One dispatcher's counters at this instant. *)
 val snapshot_of : t -> snapshot
-
-(** Every dispatcher created in this process, oldest first — the autotune
-    scan walks this. *)
-val registered : unit -> t list
-
-(** The most recently created dispatcher named [name] (relinks re-emit
-    dispatchers; newest wins), if any. *)
-val find : name:string -> t option
 
 (** Per-dispatcher counters for every dispatcher created in this process,
     oldest first; dispatchers that never fired are excluded. *)

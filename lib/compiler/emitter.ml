@@ -36,8 +36,7 @@ type state = {
   constants : Tensor.t list ref;  (** reversed *)
   mutable n_constants : int;
   packed : (string, int) Hashtbl.t;  (** name -> index *)
-  packed_list : (string * [ `Kernel | `Shape_func ]) list ref;  (** reversed *)
-  packed_impls : (string, Exe.packed) Hashtbl.t;
+  packed_list : Exe.packed list ref;  (** reversed *)
   mutable funcs : (string * Expr.fn option) list;
       (** function slots, in index order; [None] = being compiled *)
   compiled : (string, Exe.vmfunc) Hashtbl.t;
@@ -53,7 +52,6 @@ let create_state opts =
     n_constants = 0;
     packed = Hashtbl.create 32;
     packed_list = ref [];
-    packed_impls = Hashtbl.create 32;
     funcs = [];
     compiled = Hashtbl.create 8;
     closure_counter = 0;
@@ -90,15 +88,15 @@ let func_index st name =
 (* Packed function registration                                        *)
 (* ------------------------------------------------------------------ *)
 
-let register_packed ?mode st name kind (impl : Tensor.t list -> Tensor.t list) =
+(* Packed functions are deduplicated by name: the first call site builds
+   the implementation ([impl] runs only then), later ones share its index. *)
+let register_packed st name (impl : unit -> Exe.packed) =
   match Hashtbl.find_opt st.packed name with
   | Some idx -> idx
   | None ->
       let idx = List.length !(st.packed_list) in
       Hashtbl.replace st.packed name idx;
-      st.packed_list := (name, kind) :: !(st.packed_list);
-      Hashtbl.replace st.packed_impls name
-        { Exe.packed_name = name; kind; mode; run = impl };
+      st.packed_list := impl () :: !(st.packed_list);
       idx
 
 (* The op call at the root of a singleton primitive, for shape functions. *)
@@ -110,21 +108,23 @@ let rec singleton_op (e : Expr.t) : (string * Attrs.t) option =
 
 let kernel_of_primitive st (prim : Expr.fn) =
   let name = Fusion.primitive_name prim in
-  let dispatch =
-    match st.opts.dense_dispatch with
-    | Some k when List.mem "dense" (Fusion.primitive_ops prim) ->
-        let d = Nimble_codegen.Dispatch.create ~name ~num_kernels:k () in
-        if
-          st.opts.profile_extern
-          && Nimble_codegen.Tuner.profile_extern ~n:64 ~k:64 () = `Extern
-        then
-          Nimble_codegen.Dispatch.set_extern d
-            Nimble_codegen.Dense_kernels.extern_library_kernel;
-        Some d
-    | _ -> None
-  in
-  let kernel = Nimble_codegen.Lower.lower ?dispatch ~name prim in
-  register_packed st name `Kernel (Nimble_codegen.Kernel.run kernel)
+  register_packed st name (fun () ->
+      let dispatch =
+        match st.opts.dense_dispatch with
+        | Some k when List.mem "dense" (Fusion.primitive_ops prim) ->
+            let d = Nimble_codegen.Dispatch.create ~name ~num_kernels:k () in
+            if
+              st.opts.profile_extern
+              && Nimble_codegen.Tuner.profile_extern ~n:64 ~k:64 () = `Extern
+            then
+              Nimble_codegen.Dispatch.set_extern d
+                Nimble_codegen.Dense_kernels.extern_library_kernel;
+            Some d
+        | _ -> None
+      in
+      let kernel = Nimble_codegen.Lower.lower ?dispatch ~name prim in
+      { Exe.packed_name = name; kind = `Kernel; mode = None;
+        run = Nimble_codegen.Kernel.run kernel; dispatch })
 
 let shape_func_of_primitive st (prim : Expr.fn) ~(mode : string) =
   let name = Fusion.primitive_name prim ^ "$shape" in
@@ -162,7 +162,9 @@ let shape_func_of_primitive st (prim : Expr.fn) ~(mode : string) =
         | None -> err "upper-bound shape function on a fused primitive")
     | m -> err "unknown shape function mode %s" m
   in
-  register_packed ~mode st name `Shape_func impl
+  register_packed st name (fun () ->
+      { Exe.packed_name = name; kind = `Shape_func; mode = Some mode;
+        run = impl; dispatch = None })
 
 (* ------------------------------------------------------------------ *)
 (* Function compilation                                                *)
@@ -575,7 +577,10 @@ let guard_of_param i (p : Expr.var) : Exe.guard option =
         }
   | _ -> None
 
-(** Emit a processed module into a linked executable. *)
+(** Emit a processed module into a linked executable. Each packed kernel
+    carries the dense dispatcher it routes through, and packed names come
+    from the module ([Fusion] names primitives per module), so this
+    executable can relink any decoded copy of itself ([Exe.relink]). *)
 let emit_module ?(options = default_options) (m : Irmod.t) : Exe.t =
   let st = create_state options in
   let named = List.map fst (Irmod.functions m) in
@@ -592,7 +597,9 @@ let emit_module ?(options = default_options) (m : Irmod.t) : Exe.t =
   let exe =
     Exe.create ~funcs
       ~constants:(Array.of_list (List.rev !(st.constants)))
-      ~packed_names:(Array.of_list (List.rev !(st.packed_list)))
+      ~packed_names:
+        (Array.of_list
+           (List.rev_map (fun p -> (p.Exe.packed_name, p.Exe.kind)) !(st.packed_list)))
   in
   (if options.guards then
      (* guard only the module's named entry functions: lifted closures are
@@ -612,12 +619,5 @@ let emit_module ?(options = default_options) (m : Irmod.t) : Exe.t =
      in
      Exe.set_guards exe guards);
   Exe.set_plans exe (Array.of_list (List.rev st.plans));
-  Hashtbl.iter (fun _ p -> Exe.link exe p) st.packed_impls;
+  List.iter (Exe.link exe) !(st.packed_list);
   exe
-
-(** The kernel/shape-function implementations keyed by name, for relinking a
-    deserialized executable. *)
-let link_table ?(options = default_options) (m : Irmod.t) : Exe.packed list =
-  let exe = emit_module ~options m in
-  Array.to_list exe.Exe.packed
-  |> List.filter_map (fun p -> p)

@@ -31,13 +31,6 @@ type options = {
   runtime_guards : bool;
       (** emit gradual-typing entry guards: the §4.1 residual checks on
           entry-function tensor parameters, enforced by the VM *)
-  autotune : bool;
-      (** serve-time online shape specialization: track hot extents and
-          re-tune live dispatch tables in the background
-          (see [docs/TUNING.md]) *)
-  autotune_threshold : int;
-      (** dispatch count at which an extent counts as hot *)
-  autotune_interval : int;  (** serve batches between hotness scans *)
 }
 
 let default_options =
@@ -51,9 +44,6 @@ let default_options =
     dense_dispatch = Some 8;
     profile_extern = false;
     runtime_guards = true;
-    autotune = false;
-    autotune_threshold = Nimble_codegen.Autotune.default_config.hot_threshold;
-    autotune_interval = Nimble_codegen.Autotune.default_config.scan_interval;
   }
 
 (** One pipeline stage's contribution to the compile report: wall time and

@@ -35,15 +35,6 @@ type options = {
           entry functions' tensor parameters — concrete dims, identical-Any
           equalities, dtypes — enforced by the VM at the API boundary and
           surfaced as [Shape_guard] failures (see [docs/ROBUSTNESS.md]) *)
-  autotune : bool;
-      (** serve-time online shape specialization: track hot extents while
-          serving and re-tune live dispatch tables in the background
-          ([Nimble_codegen.Autotune]; see [docs/TUNING.md]). Off by
-          default — it is a serving policy, not a compile pass; the serve
-          layer and CLI read it to decide whether to attach a tuner *)
-  autotune_threshold : int;
-      (** dispatch count at which an extent counts as hot *)
-  autotune_interval : int;  (** serve batches between hotness scans *)
 }
 
 val default_options : options

@@ -38,14 +38,6 @@ let pp ppf = function
 
 let to_string d = Fmt.str "%a" pp d
 
-(* Fresh symbolic ids, used by the sub-shaping analysis and by shape-function
-   insertion. *)
-let sym_counter = ref 0
-
-let fresh_sym () =
-  incr sym_counter;
-  Sym !sym_counter
-
 (** Broadcast relation for one dimension pair (paper §4.1):
     - [broadcast Any (Static 1)] is [Any]
     - [broadcast Any (Static d)] is [Static d] when [d > 1]

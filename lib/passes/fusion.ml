@@ -53,11 +53,13 @@ let combine ~producer:p ~consumer:c : Op.pattern option =
 (* Primitive metadata                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let prim_counter = ref 0
-
-let primitive_attrs ~ops ~pattern : Attrs.t =
-  incr prim_counter;
-  let name = Fmt.str "fused_%s_%d" (String.concat "_" ops) !prim_counter in
+(* [next] numbers one module's primitives in creation order ({!run} makes
+   one counter per module), so a kernel name [fused_<ops>_<i>] is a
+   function of the module alone and any compile of a module can relink a
+   decoded copy of it by name. *)
+let primitive_attrs next ~ops ~pattern : Attrs.t =
+  let name = Fmt.str "fused_%s_%d" (String.concat "_" ops) !next in
+  incr next;
   Attrs.empty
   |> fun a ->
   Attrs.set a "Primitive" (Attrs.Int 1)
@@ -123,7 +125,7 @@ let atom_ty : Expr.t -> Ty.t option = function
       Some (Ty.tensor_of_shape ~dtype:(Nimble_tensor.Tensor.dtype t) (Nimble_tensor.Tensor.shape t))
   | _ -> None
 
-let wrap_call name args attrs : Expr.t =
+let wrap_call next name args attrs : Expr.t =
   let op_def = Op.get name in
   let params =
     List.mapi (fun i a -> Expr.fresh_var ?ty:(atom_ty a) (Fmt.str "p%d" i)) args
@@ -142,7 +144,7 @@ let wrap_call name args attrs : Expr.t =
         Op.Injective
     | p -> p
   in
-  let fn_attrs = primitive_attrs ~ops:[ name ] ~pattern in
+  let fn_attrs = primitive_attrs next ~ops:[ name ] ~pattern in
   Expr.Call
     {
       callee = Expr.Fn { params; ret_ty = None; body; fn_attrs };
@@ -150,13 +152,13 @@ let wrap_call name args attrs : Expr.t =
       attrs = Attrs.empty;
     }
 
-let wrap (e : Expr.t) : Expr.t =
+let wrap next (e : Expr.t) : Expr.t =
   Expr.map_bottom_up
     (function
       | Expr.Call { callee = Expr.Op name; args; attrs }
         when (not (dialect_op name))
              && List.for_all Anf.is_atom args ->
-          wrap_call name args attrs
+          wrap_call next name args attrs
       | e -> e)
     e
 
@@ -171,7 +173,7 @@ let count_uses vid e =
 
 (* Inline producer primitive [pfn]/[pargs] into consumer [cfn]/[cargs] at the
    consumer parameter that receives [vp]. *)
-let merge ~vp ~(pfn : Expr.fn) ~pargs ~(cfn : Expr.fn) ~cargs ~pattern : Expr.t =
+let merge next ~vp ~(pfn : Expr.fn) ~pargs ~(cfn : Expr.fn) ~cargs ~pattern : Expr.t =
   (* Find which consumer params receive [vp]. *)
   let pairs = List.combine cfn.Expr.params cargs in
   let receiving, keeping =
@@ -199,7 +201,7 @@ let merge ~vp ~(pfn : Expr.fn) ~pargs ~(cfn : Expr.fn) ~cargs ~pattern : Expr.t 
   let new_params = fresh_pparams @ List.map fst keeping in
   let new_args = pargs @ List.map snd keeping in
   let ops = primitive_ops pfn @ primitive_ops cfn in
-  let fn_attrs = primitive_attrs ~ops ~pattern in
+  let fn_attrs = primitive_attrs next ~ops ~pattern in
   Expr.Call
     {
       callee = Expr.Fn { params = new_params; ret_ty = cfn.Expr.ret_ty; body = new_body; fn_attrs };
@@ -208,54 +210,54 @@ let merge ~vp ~(pfn : Expr.fn) ~pargs ~(cfn : Expr.fn) ~cargs ~pattern : Expr.t 
     }
 
 (* Try to fuse [Let (v, prim-call, body)] with a consumer in [body]. *)
-let rec fuse_chain (e : Expr.t) : Expr.t * bool =
+let rec fuse_chain next (e : Expr.t) : Expr.t * bool =
   match e with
   | Expr.Let
       (v, (Expr.Call { callee = Expr.Fn pfn; args = pargs; _ } as bound), body)
     when is_primitive pfn -> (
       let uses = count_uses v.Expr.vid body in
-      match find_consumer v.Expr.vid pfn body with
+      match find_consumer next v.Expr.vid pfn body with
       | Some rebuild when uses >= 1 ->
           (rebuild ~pfn ~pargs, true)
       | _ ->
-          let body', changed = fuse_chain body in
+          let body', changed = fuse_chain next body in
           (Expr.Let (v, bound, body'), changed))
   | Expr.Let (v, bound, body) ->
-      let bound', c1 = fuse_inside bound in
-      let body', c2 = fuse_chain body in
+      let bound', c1 = fuse_inside next bound in
+      let body', c2 = fuse_chain next body in
       (Expr.Let (v, bound', body'), c1 || c2)
   | Expr.If (c, t, f) ->
-      let t', c1 = fuse_chain t in
-      let f', c2 = fuse_chain f in
+      let t', c1 = fuse_chain next t in
+      let f', c2 = fuse_chain next f in
       (Expr.If (c, t', f'), c1 || c2)
   | Expr.Match (s, clauses) ->
       let changed = ref false in
       let clauses =
         List.map
           (fun cl ->
-            let rhs, c = fuse_chain cl.Expr.rhs in
+            let rhs, c = fuse_chain next cl.Expr.rhs in
             if c then changed := true;
             { cl with Expr.rhs })
           clauses
       in
       (Expr.Match (s, clauses), !changed)
-  | _ -> fuse_inside e
+  | _ -> fuse_inside next e
 
-and fuse_inside (e : Expr.t) : Expr.t * bool =
+and fuse_inside next (e : Expr.t) : Expr.t * bool =
   match e with
   | Expr.Fn fn when not (is_primitive fn) ->
-      let body, changed = fuse_chain fn.Expr.body in
+      let body, changed = fuse_chain next fn.Expr.body in
       (Expr.Fn { fn with Expr.body = body }, changed)
   | Expr.If (c, t, f) ->
-      let t', c1 = fuse_chain t in
-      let f', c2 = fuse_chain f in
+      let t', c1 = fuse_chain next t in
+      let f', c2 = fuse_chain next f in
       (Expr.If (c, t', f'), c1 || c2)
   | Expr.Match (s, clauses) ->
       let changed = ref false in
       let clauses =
         List.map
           (fun cl ->
-            let rhs, c = fuse_chain cl.Expr.rhs in
+            let rhs, c = fuse_chain next cl.Expr.rhs in
             if c then changed := true;
             { cl with Expr.rhs })
           clauses
@@ -266,7 +268,7 @@ and fuse_inside (e : Expr.t) : Expr.t * bool =
 (* Search [body] for the unique consumer of [vp]: a directly-following
    primitive call taking [Var vp] as an argument, with [vp] used nowhere
    else. Returns a rebuild function on success. *)
-and find_consumer vp (pfn : Expr.fn) (body : Expr.t) :
+and find_consumer next vp (pfn : Expr.fn) (body : Expr.t) :
     (pfn:Expr.fn -> pargs:Expr.t list -> Expr.t) option =
   if count_uses vp body <> 1 then None
   else
@@ -288,28 +290,29 @@ and find_consumer vp (pfn : Expr.fn) (body : Expr.t) :
           | Some pattern ->
               Some
                 (fun ~pfn ~pargs ->
-                  let merged = merge ~vp ~pfn ~pargs ~cfn ~cargs ~pattern in
+                  let merged = merge next ~vp ~pfn ~pargs ~cfn ~cargs ~pattern in
                   Expr.Let (cv, merged, rest)))
     | Expr.Let (cv, bound, rest) when count_uses vp bound = 0 ->
         (* consumer appears later in the chain *)
         Option.map
           (fun rebuild ~pfn ~pargs -> Expr.Let (cv, bound, rebuild ~pfn ~pargs))
-          (find_consumer vp pfn rest)
+          (find_consumer next vp pfn rest)
     | _ -> None
 
-let rec fixpoint e =
-  let e', changed = fuse_chain e in
-  if changed then fixpoint e' else e'
+let rec fixpoint next e =
+  let e', changed = fuse_chain next e in
+  if changed then fixpoint next e' else e'
 
-(** Run fusion over a function body (expects ANF). [merge = false] only
-    wraps ops into singleton primitives without fusing — the no-fusion
-    ablation. *)
-let run_fn ?(merge = true) (fn : Expr.fn) : Expr.fn =
-  let wrapped = wrap fn.Expr.body in
-  { fn with Expr.body = (if merge then fixpoint wrapped else wrapped) }
+(* Fusion over one function body (expects ANF), numbering its primitives
+   from [next]. [merge = false] only wraps ops into singleton primitives
+   without fusing — the no-fusion ablation. *)
+let run_fn ~merge next (fn : Expr.fn) : Expr.fn =
+  let wrapped = wrap next fn.Expr.body in
+  { fn with Expr.body = (if merge then fixpoint next wrapped else wrapped) }
 
 let run ?(merge = true) (m : Irmod.t) : Irmod.t =
-  Irmod.map_funcs m (fun _name fn -> run_fn ~merge fn);
+  let next = ref 0 in
+  Irmod.map_funcs m (fun _name fn -> run_fn ~merge next fn);
   m
 
 (** Statistics for tests and ablations: primitives and their group sizes. *)

@@ -18,7 +18,10 @@ val combine : producer:Op.pattern -> consumer:Op.pattern -> Op.pattern option
 (** Whether a function is a fusion-produced primitive. *)
 val is_primitive : Expr.fn -> bool
 
-(** The primitive's unique kernel name. *)
+(** The primitive's kernel name, [fused_<ops>_<i>]: unique within its
+    module and a function of the module alone ([i] counts the module's
+    primitives in creation order), so any compile of a module can relink a
+    decoded copy of it by name. *)
 val primitive_name : Expr.fn -> string
 
 (** The operator names fused into the primitive, in dataflow order. *)
@@ -30,12 +33,9 @@ val primitive_pattern : Expr.fn -> Op.pattern
 (** Every op in the primitive has a data-independent shape function. *)
 val data_independent : Expr.fn -> bool
 
-(** Run fusion over a function body (expects ANF). [merge = false] only
-    wraps ops into singleton primitives without fusing — the no-fusion
-    ablation. *)
-val run_fn : ?merge:bool -> Expr.fn -> Expr.fn
-
-(** Run fusion over every function in a module. *)
+(** Run fusion over every function in a module (each body in ANF).
+    [merge = false] only wraps ops into singleton primitives without
+    fusing — the no-fusion ablation. *)
 val run : ?merge:bool -> Irmod.t -> Irmod.t
 
 (** All primitives appearing in an expression, in occurrence order. *)

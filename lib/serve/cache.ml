@@ -2,14 +2,15 @@
 
     A cold load runs the full deployment path — compile the IR module,
     {!Nimble_vm.Serialize.to_bytes} it, decode the bytes back, and
-    relink the packed kernels by name — exactly what a server restoring
-    a [.nimble] artifact from disk does, so the serialized format stays
-    load-bearing in the serving path (and is covered by
-    [test/test_serve.ml]). Warm loads return the cached, already-linked
-    executable. An executable is immutable after linking (bytecode,
-    constants and packed implementations are only read), so many VM
-    workers can share one instance across domains; each worker keeps its
-    own {!Nimble_vm.Interp.t} for mutable state. *)
+    relink the packed kernels by name from the compile — exactly what a
+    server restoring a [.nimble] artifact from disk does, so the
+    serialized format stays load-bearing in the serving path (and is
+    covered by [test/test_serve.ml]). Warm loads return the cached,
+    already-linked executable, and {!restore} relinks a snapshot from it.
+    An executable is immutable after linking (bytecode, constants and
+    packed implementations are only read), so many VM workers can share
+    one instance across domains; each worker keeps its own
+    {!Nimble_vm.Interp.t} for mutable state. *)
 
 module Nimble = Nimble_compiler.Nimble
 
@@ -18,10 +19,6 @@ type entry = { exe : Nimble_vm.Exe.t; bytes : int  (** serialized size *) }
 type t = {
   mux : Mutex.t;
   entries : (string, entry) Hashtbl.t;
-  impls : (string, Nimble_vm.Exe.packed) Hashtbl.t;
-      (** link registry: packed implementations captured at first link,
-          keyed by packed name — what {!restore} relinks from, so a warm
-          restart never recompiles *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -30,7 +27,6 @@ let create () =
   {
     mux = Mutex.create ();
     entries = Hashtbl.create 4;
-    impls = Hashtbl.create 16;
     hits = 0;
     misses = 0;
   }
@@ -51,17 +47,18 @@ let rec of_bytes_retrying ?(attempt = 0) bytes =
     when attempt < 3 ->
       of_bytes_retrying ~attempt:(attempt + 1) bytes
 
-(** Replay the executable's persisted tune table (NMBLEXE4) into the live
-    dispatch tables: each decision re-installs its tuned kernel via
-    {!Nimble_codegen.Dispatch.install_tuned}, so a warm restart relinks
-    pre-specialized and the hotness scanner (which skips already-tuned
-    extents) never re-tunes them. Decisions naming kernels with no
-    registered dispatcher (e.g. dispatch compiled off) are ignored — the
-    table is advice, not an obligation. *)
+(** Replay the executable's persisted tune table (NMBLEXE4) into the
+    dispatch tables its kernels route through: each decision re-installs
+    its tuned kernel via {!Nimble_codegen.Dispatch.install_tuned}, so a
+    warm restart relinks pre-specialized and the hotness scanner (which
+    skips already-tuned extents) never re-tunes them. Decisions naming
+    kernels without a dispatcher (e.g. dispatch compiled off) are ignored
+    — the table is advice, not an obligation. *)
 let apply_tunes (exe : Nimble_vm.Exe.t) : int =
+  let dispatchers = Nimble_vm.Exe.dispatchers exe in
   Array.fold_left
     (fun applied (tn : Nimble_vm.Exe.tune) ->
-      match Nimble_codegen.Dispatch.find ~name:tn.Nimble_vm.Exe.tn_kernel with
+      match List.assoc_opt tn.Nimble_vm.Exe.tn_kernel dispatchers with
       | Some d ->
           Nimble_codegen.Dispatch.install_tuned d ~extent:tn.Nimble_vm.Exe.tn_extent
             ~tile_m:tn.Nimble_vm.Exe.tn_tile_m;
@@ -69,24 +66,19 @@ let apply_tunes (exe : Nimble_vm.Exe.t) : int =
       | None -> applied)
     0 exe.Nimble_vm.Exe.tunes
 
-(** Capture the live dispatch tables' installed tune decisions into the
-    executable's tune table, so the next {!Nimble_vm.Serialize.to_bytes}
-    persists them (the checkpoint half of the warm-restart loop). *)
+(** Capture the installed tune decisions of the executable's dispatch
+    tables into its tune table, so the next
+    {!Nimble_vm.Serialize.to_bytes} persists them (the checkpoint half of
+    the warm-restart loop). *)
 let persist_tunes (exe : Nimble_vm.Exe.t) : int =
   let tunes =
-    Array.to_list exe.Nimble_vm.Exe.packed_names
-    |> List.concat_map (fun (name, kind) ->
-           match kind with
-           | `Shape_func -> []
-           | `Kernel -> (
-               match Nimble_codegen.Dispatch.find ~name with
-               | None -> []
-               | Some d ->
-                   List.map
-                     (fun (extent, tile_m) ->
-                       { Nimble_vm.Exe.tn_kernel = name; tn_extent = extent;
-                         tn_tile_m = tile_m })
-                     (Nimble_codegen.Dispatch.tuned_decisions d)))
+    Nimble_vm.Exe.dispatchers exe
+    |> List.concat_map (fun (name, d) ->
+           List.map
+             (fun (extent, tile_m) ->
+               { Nimble_vm.Exe.tn_kernel = name; tn_extent = extent;
+                 tn_tile_m = tile_m })
+             (Nimble_codegen.Dispatch.tuned_decisions d))
   in
   Nimble_vm.Exe.set_tunes exe (Array.of_list tunes);
   List.length tunes
@@ -106,36 +98,12 @@ let load ?options t ~name ~(build : unit -> Nimble_ir.Irmod.t) :
           e.exe
       | None ->
           t.misses <- t.misses + 1;
-          let m = build () in
-          let compiled = Nimble.compile ?options m in
+          let compiled = Nimble.compile ?options (build ()) in
           (* the deployment round trip: portable bytes, then relink the
-             platform kernels by name (with the same codegen options, so
-             relinked dispatch tables match the compiled ones) *)
+             platform kernels by name from the compile itself *)
           let bytes = Nimble_vm.Serialize.to_bytes compiled in
           let exe = of_bytes_retrying bytes in
-          let link_options =
-            Option.map
-              (fun (o : Nimble.options) ->
-                {
-                  Nimble_compiler.Emitter.dense_dispatch = o.Nimble.dense_dispatch;
-                  profile_extern = o.Nimble.profile_extern;
-                  guards = o.Nimble.runtime_guards;
-                })
-              options
-          in
-          let table =
-            Nimble_compiler.Emitter.link_table ?options:link_options m
-          in
-          List.iter (Nimble_vm.Exe.link exe) table;
-          (* capture the platform implementations so a later {!restore}
-             can relink a snapshot without recompiling *)
-          List.iter
-            (fun (p : Nimble_vm.Exe.packed) ->
-              Hashtbl.replace t.impls p.Nimble_vm.Exe.packed_name p)
-            table;
-          (* warm-restart the persisted tune decisions into the freshly
-             linked dispatch tables *)
-          ignore (apply_tunes exe);
+          Nimble_vm.Exe.relink ~from:compiled exe;
           Hashtbl.replace t.entries name { exe; bytes = String.length bytes };
           exe)
 
@@ -149,21 +117,6 @@ let misses t = locked t (fun () -> t.misses)
 let serialized_bytes t ~name =
   locked t (fun () ->
       Option.map (fun e -> e.bytes) (Hashtbl.find_opt t.entries name))
-
-(** Capture a linked executable's packed implementations into the link
-    registry (what {!restore} relinks from). {!load} does this
-    automatically; call this for executables linked outside the cache.
-    Returns how many implementations were (re)registered. *)
-let register_impls t (exe : Nimble_vm.Exe.t) : int =
-  locked t (fun () ->
-      Array.fold_left
-        (fun n p ->
-          match p with
-          | Some (p : Nimble_vm.Exe.packed) ->
-              Hashtbl.replace t.impls p.Nimble_vm.Exe.packed_name p;
-              n + 1
-          | None -> n)
-        0 exe.Nimble_vm.Exe.packed)
 
 (* --------------------------- snapshots ---------------------------- *)
 
@@ -338,12 +291,12 @@ type restored = {
 (** Warm-restart every model recorded in [dir]'s manifest: read and
     decode each [.nmblexe] (bytecode-verified; transient ["snapshot_io"] /
     ["deserialize"] faults retried), relink its packed functions from the
-    in-process link registry — {e no recompilation} — replay its tune
-    table, and replace the cache entry. The registry must already hold
-    every implementation the snapshot names (populate it with {!load} or
-    {!register_impls}).
-    @raise Failure on a missing/ill-versioned manifest or an
-    implementation absent from the registry; [Sys_error] /
+    model's cached entry — {e no recompilation} — replay its tune table,
+    and replace the cache entry. Every model must have been {!load}ed
+    first, from any compile of the same module.
+    @raise Failure on a missing/ill-versioned manifest, a model never
+    loaded, or a snapshot whose packed names disagree with the loaded
+    model's (the message names the model and the kernel); [Sys_error] /
     [Json.Parse_error] / verifier errors propagate. *)
 let restore t ~dir : restored list =
   locked t (fun () ->
@@ -371,17 +324,18 @@ let restore t ~dir : restored list =
             io_retrying (fun () -> read_file (Filename.concat dir file))
           in
           let exe = of_bytes_retrying bytes in
-          Array.iter
-            (fun (pname, _kind) ->
-              match Hashtbl.find_opt t.impls pname with
-              | Some impl -> Nimble_vm.Exe.link exe impl
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "snapshot restore of %s: no registered implementation \
-                        for %s (load the model once, or register_impls)"
-                       name pname))
-            exe.Nimble_vm.Exe.packed_names;
+          let fail msg =
+            failwith (Printf.sprintf "snapshot restore of %s: %s" name msg)
+          in
+          (match Hashtbl.find_opt t.entries name with
+          | Some e -> (
+              try Nimble_vm.Exe.relink ~from:e.exe exe
+              with Invalid_argument msg -> fail msg)
+          | None ->
+              let names = Array.map fst exe.Nimble_vm.Exe.packed_names in
+              fail
+                ("the model was never loaded, so nothing can relink "
+                ^ if names = [||] then "it" else names.(0)));
           let applied = apply_tunes exe in
           let arena_hints =
             match Json.member "arena_hints" m with

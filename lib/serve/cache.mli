@@ -1,7 +1,9 @@
 (** Warm executable cache: compile once per model; cold loads take the
-    serialize → deserialize → relink deployment path, warm loads return
-    the cached linked executable (safe to share across VM workers — an
-    executable is immutable after linking). *)
+    serialize → deserialize → relink deployment path (relinking by name
+    from the compile itself), warm loads return the cached linked
+    executable (safe to share across VM workers — an executable is
+    immutable after linking), and {!restore} relinks snapshots from the
+    cached entries. *)
 
 type t
 
@@ -9,7 +11,8 @@ type t
 val create : unit -> t
 
 (** The linked executable for [name]; [build] is compiled and
-    round-tripped on the first request only. The decoded executable is
+    round-tripped on the first request only, and the decoded executable is
+    relinked from that compile ([Nimble_vm.Exe.relink]). It is
     bytecode-verified before linking
     ([Nimble_analysis.Verifier.of_bytes]), so a corrupt artifact raises
     [Nimble_analysis.Verifier.Verify_error] here instead of reaching a
@@ -23,17 +26,18 @@ val load :
   t -> name:string -> build:(unit -> Nimble_ir.Irmod.t) -> Nimble_vm.Exe.t
 
 (** Replay the executable's persisted tune table (the NMBLEXE4 section)
-    into the live dispatch tables via
+    into the dispatch tables its linked kernels route through
+    ([Nimble_vm.Exe.dispatchers]) via
     {!Nimble_codegen.Dispatch.install_tuned}, so a warm restart serves
-    pre-specialized without re-tuning. Decisions naming kernels with no
-    registered dispatcher are ignored. Returns how many decisions were
-    applied. {!load} calls this automatically after relinking. *)
+    pre-specialized without re-tuning. Decisions naming kernels without a
+    dispatcher are ignored. Returns how many decisions were applied.
+    {!restore} calls this after relinking. *)
 val apply_tunes : Nimble_vm.Exe.t -> int
 
-(** Capture the live dispatch tables' installed tune decisions into the
-    executable's tune table so the next {!Nimble_vm.Serialize.to_bytes}
-    persists them — the checkpoint half of the warm-restart loop.
-    Returns how many decisions were persisted. *)
+(** Capture the installed tune decisions of the executable's dispatch
+    tables into its tune table so the next
+    {!Nimble_vm.Serialize.to_bytes} persists them — the checkpoint half of
+    the warm-restart loop. Returns how many decisions were persisted. *)
 val persist_tunes : Nimble_vm.Exe.t -> int
 
 (** Warm loads served since creation. *)
@@ -44,11 +48,6 @@ val misses : t -> int
 
 (** Serialized size in bytes of a cached model, if present. *)
 val serialized_bytes : t -> name:string -> int option
-
-(** Capture a linked executable's packed implementations into the link
-    registry that {!restore} relinks from ({!load} populates it
-    automatically). Returns how many implementations were registered. *)
-val register_impls : t -> Nimble_vm.Exe.t -> int
 
 (** The snapshot manifest's [schema] member: ["nimble-snapshot/v1"]. *)
 val snapshot_schema : string
@@ -86,11 +85,12 @@ type restored = {
 
 (** Warm-restart every model in [dir]'s manifest: decode each
     [.nmblexe] (bytecode-verified; transient ["snapshot_io"] and
-    ["deserialize"] faults retried), relink packed functions from the
-    in-process link registry without recompiling, replay the persisted
-    tune table, and replace the cache entries. The registry must already
-    hold every implementation the snapshot names (populate via {!load}
-    or {!register_impls}).
-    @raise Failure on a missing or ill-versioned manifest, or an
-    implementation absent from the registry. *)
+    ["deserialize"] faults retried), relink its packed functions by name
+    from the model's cached entry without recompiling, replay the
+    persisted tune table, and replace the cache entries. Each model must
+    have been {!load}ed into this cache first — from any compile of the
+    same module, since packed names depend only on the module.
+    @raise Failure on a missing or ill-versioned manifest, a model that
+    was never loaded, or a snapshot whose packed names disagree with the
+    loaded model's; the message names the model and the kernel. *)
 val restore : t -> dir:string -> restored list

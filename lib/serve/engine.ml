@@ -132,6 +132,8 @@ type t = {
   trace_mux : Mutex.t;  (** Trace.t is single-writer; serialize serve spans *)
   autotune : Nimble_codegen.Autotune.t option;
       (** online shape specializer; observed once per executed batch *)
+  dispatchers : Nimble_codegen.Dispatch.t list;
+      (** the executable's dense dispatchers, the ones the tuner scans *)
   admission : Admission.t option;
       (** SLO-aware admission controller: consulted (and fed service
           observations) only when the caller attached one *)
@@ -378,9 +380,12 @@ let worker_main t worker_id () =
     warm_bucket vm bucket;
     List.iter (exec_request t vm ctx ~worker_id) reqs;
     (* one hotness observation per executed batch: cheap (an atomic
-       increment), and every [scan_interval]-th call walks the dispatch
-       registry for hot extents to re-tune in the background *)
-    Option.iter Nimble_codegen.Autotune.observe t.autotune;
+       increment), and every [scan_interval]-th call walks this
+       executable's dispatchers for hot extents to re-tune in the
+       background *)
+    Option.iter
+      (fun au -> Nimble_codegen.Autotune.observe au t.dispatchers)
+      t.autotune;
     Stats.record_reuse t.stats
       ~frame_reuses:(Interp.frame_reuses ctx - frames0)
       ~arena_hits:(prof.Nimble_vm.Profiler.pool_hits - hits0)
@@ -440,9 +445,10 @@ let worker_main t worker_id () =
     served (default ["main"]). @param trace record [serve.*] spans into
     this recorder (shared with nothing else; the engine serializes its
     own writes). @param autotune attach an online shape specializer: the
-    engine observes it once per executed batch (driving its hotness
-    scans) and records a [vm.retune] span for every live install. The
-    caller keeps ownership — drain/shutdown it after {!shutdown}.
+    engine observes it once per executed batch with the executable's
+    dispatchers (driving its hotness scans) and records a [vm.retune]
+    span for every live install. The caller keeps ownership —
+    drain/shutdown it after {!shutdown}.
     @param admission attach an SLO-aware admission controller: requests
     whose deadline provably cannot be met are refused as [Error Shed] at
     submission, and the engine feeds the controller its per-request
@@ -460,6 +466,7 @@ let create ?(config = default_config) ?trace ?autotune ?admission
       trace;
       trace_mux = Mutex.create ();
       autotune;
+      dispatchers = List.map snd (Nimble_vm.Exe.dispatchers exe);
       admission;
       pending = Squeue.create ~capacity:config.queue_capacity;
       form_mux = Mutex.create ();

@@ -78,8 +78,9 @@ type ticket
     @param trace record [serve.*] spans into this recorder.
     @param autotune attach an online shape specializer
     ([Nimble_codegen.Autotune]): the engine observes it once per executed
-    batch — driving its hotness scans — and records a [vm.retune] span
-    for every live install. The caller keeps ownership and should
+    batch with the executable's dispatchers — driving its hotness scans —
+    and records a [vm.retune] span for every live install. The caller
+    keeps ownership and should
     drain/shutdown it after {!shutdown}.
     @param admission attach an SLO-aware admission controller
     ({!Admission}): deadline-bearing requests that provably cannot meet

@@ -313,8 +313,8 @@ let snapshot ?keep t ~dir : int =
   Cache.snapshot ~hints ?keep t.cache ~dir
 
 (** Warm-restart one model from the snapshot in [dir]: shut its shard
-    pool down, relink the snapshotted executable from the cache's link
-    registry ({e no recompilation}), replay its tune table, and start a
+    pool down, relink the snapshotted executable from the model's cached
+    compile ({e no recompilation}), replay its tune table, and start a
     fresh pool whose workers pre-bind plan arenas at the snapshotted
     hints before taking traffic. The model's admission estimate and
     breaker lanes survive the restart; the engine's counters start

@@ -96,9 +96,9 @@ val breaker_totals : t -> model:string -> Breaker.counters * int * int
 val snapshot : ?keep:int -> t -> dir:string -> int
 
 (** Warm-restart one model from the snapshot in [dir]: shut its pool
-    down, relink from the cache's registry without recompiling, replay
-    tunes, and start a fresh pool pre-warmed at the snapshotted arena
-    hints. Admission estimates and breaker lanes survive; engine
+    down, relink from the model's cached compile without recompiling,
+    replay tunes, and start a fresh pool pre-warmed at the snapshotted
+    arena hints. Admission estimates and breaker lanes survive; engine
     counters start fresh.
     @raise Invalid_argument on an unknown model; {!Cache.restore}
     failures propagate. *)

@@ -16,19 +16,22 @@ type residual = { sym_id : int; expected : Dim.t; context : string }
 type t = {
   classes : (int, node) Hashtbl.t;
   mutable residuals : residual list;
+  mutable last_sym : int;
+      (** highest [Sym] id this solver has handed out: classes are numbered
+          per solver, so a module's ids do not depend on what the process
+          inferred before *)
 }
 
 exception Dim_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Dim_error s)) fmt
 
-let create () = { classes = Hashtbl.create 32; residuals = [] }
+let create () = { classes = Hashtbl.create 32; residuals = []; last_sym = 0 }
 
 let fresh t =
-  let d = Dim.fresh_sym () in
-  (match d with
-  | Dim.Sym id -> Hashtbl.replace t.classes id (Root d)
-  | Dim.Static _ | Dim.Any -> assert false);
+  t.last_sym <- t.last_sym + 1;
+  let d = Dim.Sym t.last_sym in
+  Hashtbl.replace t.classes t.last_sym (Root d);
   d
 
 let rec find_root t id =

@@ -42,6 +42,9 @@ type packed = {
       (** shape-function mode ("data_indep" / "data_dep" / "upper_bound" /
           "proven"), carried for trace tagging; [None] for kernels *)
   run : Tensor.t list -> Tensor.t list;
+  dispatch : Nimble_codegen.Dispatch.t option;
+      (** the dense dispatcher [run] routes through, for kernels with
+          residue dispatch; tune replay and the online tuner reach it here *)
 }
 
 (** A symbolic memory plan (paper §4.3): the arena layout the memory
@@ -131,6 +134,32 @@ let get_packed t i =
   | None ->
       let name, _ = t.packed_names.(i) in
       Fmt.invalid_arg "Exe.get_packed: %s not linked" name
+
+(** Link every packed function of [t] by name from [from], a linked
+    executable of the same module: packed names are a function of the
+    module, so any compile of it will do. *)
+let relink ~from t =
+  let declared_only_by a b side =
+    Array.iter
+      (fun (name, _) ->
+        if packed_index b name = None then
+          Fmt.invalid_arg "Exe.relink: %s is declared only by the %s" name side)
+      a.packed_names
+  in
+  declared_only_by t from "executable being linked";
+  declared_only_by from t "executable linked from";
+  Array.iteri
+    (fun i (name, _) ->
+      t.packed.(i) <- Some (get_packed from (Option.get (packed_index from name))))
+    t.packed_names
+
+(** The dense dispatchers the linked kernels route through, with their
+    kernel names, in packed order. *)
+let dispatchers t =
+  Array.to_list t.packed
+  |> List.filter_map (function
+       | Some { packed_name; dispatch = Some d; _ } -> Some (packed_name, d)
+       | _ -> None)
 
 (** Human-readable disassembly. *)
 let disassemble ppf t =

@@ -1,6 +1,9 @@
 (** VM executables (paper §5): platform-independent bytecode (functions,
     constant pool, packed-function names) plus the platform-dependent kernel
-    implementations, linked in by name after compilation or deserialization. *)
+    implementations, linked in by name after compilation or deserialization.
+    Packed names are a function of the compiled module alone, so a decoded
+    executable relinks from any linked compile of the same module
+    ({!relink}). *)
 
 open Nimble_tensor
 
@@ -37,7 +40,7 @@ type guard = {
     [run] computes fresh outputs; the interpreter blits them into the
     pre-allocated destinations of [InvokePacked]. Packed implementations
     are platform-dependent and therefore never serialized; {!Serialize}
-    stores only [packed_names] and {!link} reattaches implementations by
+    stores only [packed_names] and {!relink} reattaches implementations by
     name. *)
 type packed = {
   packed_name : string;
@@ -46,6 +49,10 @@ type packed = {
       (** shape-function mode ("data_indep" / "data_dep" / "upper_bound"),
           carried for trace tagging; [None] for kernels *)
   run : Tensor.t list -> Tensor.t list;
+  dispatch : Nimble_codegen.Dispatch.t option;
+      (** the dense dispatcher [run] routes through, for kernels compiled
+          with residue dispatch: tune replay and the online tuner reach the
+          executable's dispatch tables through it (see {!dispatchers}) *)
 }
 
 (** A symbolic memory plan (paper §4.3, BladeDISC++-style): the arena
@@ -115,12 +122,26 @@ val packed_index : t -> string -> int option
     @raise Invalid_argument for names the executable does not declare. *)
 val link : t -> packed -> unit
 
+(** [relink ~from t] links every packed function of [t] by name from
+    [from], a linked executable of the same module — the one way to link
+    a decoded executable. The two share implementations and dispatchers
+    afterwards.
+    @raise Invalid_argument naming the first packed function declared by
+    only one of the two, before anything is linked, or when [from] is not
+    linked. *)
+val relink : from:t -> t -> unit
+
 (** Every declared packed function has an implementation. *)
 val linked : t -> bool
 
 (** The linked implementation at a packed index.
     @raise Invalid_argument if that slot was never {!link}ed. *)
 val get_packed : t -> int -> packed
+
+(** The dense dispatchers the linked kernels route through, each with its
+    packed kernel name, in packed order — what tune replay, tune capture
+    and the serving engine's online tuner walk. *)
+val dispatchers : t -> (string * Nimble_codegen.Dispatch.t) list
 
 (** Human-readable disassembly: packed names, the plan table, then each
     function's bytecode. *)

@@ -772,14 +772,6 @@ let invoke ?func ?ctx vm (args : Obj.t list) : Obj.t =
   | Ok result -> result
   | Error fl -> raise (Vm_error fl.fail_msg)
 
-(** Convenience: tensor inputs, tensor output, typed failures. *)
-let run_tensors_result ?func ?ctx vm inputs :
-    (Tensor.t, failure) result =
-  let args = List.map (fun t -> Obj.tensor t) inputs in
-  match invoke_result ?func ?ctx vm args with
-  | Ok o -> Ok (Obj.to_tensor o)
-  | Error fl -> Error fl
-
 (** Convenience: tensor inputs, tensor output. @raise Vm_error on failure. *)
 let run_tensors ?func ?ctx vm inputs =
   let args = List.map (fun t -> Obj.tensor t) inputs in

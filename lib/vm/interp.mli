@@ -131,11 +131,6 @@ val invoke_result :
     underlying typed failure, verbatim. *)
 val invoke : ?func:string -> ?ctx:ctx -> t -> Obj.t list -> Obj.t
 
-(** {!invoke_result} for tensor inputs and a tensor output. *)
-val run_tensors_result :
-  ?func:string -> ?ctx:ctx -> t -> Nimble_tensor.Tensor.t list ->
-  (Nimble_tensor.Tensor.t, failure) result
-
 (** Convenience wrapper: tensor inputs, tensor output. *)
 val run_tensors :
   ?func:string -> ?ctx:ctx -> t -> Nimble_tensor.Tensor.t list -> Nimble_tensor.Tensor.t

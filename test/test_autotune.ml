@@ -41,22 +41,11 @@ let shared_w = Tensor.randn rng [| out_dim; feature_dim |]
 (* sparse dispatch (2 of 8 residues) so uncovered extents exist to tune *)
 let sparse_opts = { Nimble.default_options with Nimble.dense_dispatch = Some 2 }
 
-let link_options =
-  {
-    Emitter.dense_dispatch = sparse_opts.Nimble.dense_dispatch;
-    profile_extern = sparse_opts.Nimble.profile_extern;
-    guards = sparse_opts.Nimble.runtime_guards;
-  }
-
-(* the dense dispatcher the executable's packed kernel routes through
-   (newest registration of that name wins across relinks) *)
+(* the dense dispatcher the executable's packed kernel routes through *)
 let dispatcher exe =
-  Array.to_list exe.Exe.packed_names
-  |> List.filter_map (fun (name, kind) ->
-         match kind with `Kernel -> Dispatch.find ~name | `Shape_func -> None)
-  |> function
-  | d :: _ -> d
-  | [] -> Alcotest.fail "no dense dispatcher registered for executable"
+  match Exe.dispatchers exe with
+  | (_, d) :: _ -> d
+  | [] -> Alcotest.fail "executable has no dense dispatcher"
 
 let kernel_name exe =
   match
@@ -242,8 +231,6 @@ let test_tuner_protocol () =
 (* ----------------------- close the loop (sync) ----------------------- *)
 
 let test_sync_close_the_loop () =
-  (* zero every registered dispatcher so only this test's extent is hot *)
-  Dispatch.reset_counters ();
   let d = Dispatch.create ~name:"sync_loop_test" ~num_kernels:0 () in
   let w = Tensor.randn rng [| out_dim; feature_dim |] in
   let hot = 19 in
@@ -267,8 +254,8 @@ let test_sync_close_the_loop () =
   in
   (* observe counts batches; every scan_interval-th triggers a scan, and
      in synchronous mode the tune+install completes before observe returns *)
-  Autotune.observe au;
-  Autotune.observe au;
+  Autotune.observe au [ d ];
+  Autotune.observe au [ d ];
   let summary = Autotune.summary au in
   Alcotest.(check int) "two observations" 2 summary.Autotune.au_observations;
   Alcotest.(check int) "one scan at the interval" 1 summary.Autotune.au_scans;
@@ -292,12 +279,43 @@ let test_sync_close_the_loop () =
     (Dispatch.run d x w);
   Alcotest.(check bool) "tuned entry fires" true (Dispatch.tuned_calls d > 0);
   (* a second scan skips the already-tuned extent: nothing new queued *)
-  Autotune.scan au;
+  Autotune.scan au [ d ];
   Alcotest.(check int) "pretuned extent not requeued" 1
     (Autotune.summary au).Autotune.au_queued;
   Autotune.shutdown au;
   Alcotest.(check bool) "hit rate reflects tuned traffic" true
     (Autotune.hit_rate d > 0.0)
+
+(* kernel names repeat across models, so pending work is keyed by
+   dispatcher: two same-named dispatchers hot at one extent both queue *)
+let test_pending_by_dispatcher () =
+  let w = Tensor.randn rng [| out_dim; feature_dim |] in
+  let hot = 11 in
+  let x = Tensor.randn rng [| hot; feature_dim |] in
+  let hot_dispatcher () =
+    let d = Dispatch.create ~name:"fused_dense_0" ~num_kernels:0 () in
+    for _ = 1 to 4 do
+      ignore (Dispatch.run d x w)
+    done;
+    d
+  in
+  let ds = [ hot_dispatcher (); hot_dispatcher () ] in
+  let au =
+    Autotune.create
+      ~config:
+        { Autotune.default_config with Autotune.hot_threshold = 4; repeats = 1; warmup = 0 }
+      ()
+  in
+  Autotune.scan au ds;
+  Autotune.scan au ds;
+  Alcotest.(check int) "one task per dispatcher" 2 (Autotune.summary au).Autotune.au_queued;
+  Autotune.drain au;
+  Autotune.shutdown au;
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "each dispatcher tuned" true
+        (Dispatch.pretuned d ~extent:hot <> None))
+    ds
 
 (* --------------------- persistence & verification --------------------- *)
 
@@ -345,12 +363,11 @@ let test_verifier_rejects_bad_tunes () =
        (tune_diags [| { Exe.tn_kernel = kernel; tn_extent = 5; tn_tile_m = 2 } |]))
 
 let test_warm_restart_pretuned () =
-  (* cold path: compile, serialize, verify, link — keeping the processed
-     module in hand, since kernel names are baked into the artifact *)
-  let m = make_module shared_w in
-  let compiled = Nimble.compile ~options:sparse_opts m in
+  (* cold path: compile, serialize, verify, relink from the compile *)
+  let compile () = Nimble.compile ~options:sparse_opts (make_module shared_w) in
+  let compiled = compile () in
   let exe = Verifier.of_bytes (Serialize.to_bytes compiled) in
-  List.iter (Exe.link exe) (Emitter.link_table ~options:link_options m);
+  Exe.relink ~from:compiled exe;
   Alcotest.(check int) "no decisions yet" 0 (Serve.Cache.persist_tunes exe);
   (* reference through the guarded-fallback route, before any install (the
      serialized constants are f32-rounded, so the reference must come from
@@ -362,9 +379,12 @@ let test_warm_restart_pretuned () =
   Alcotest.(check int) "decision persisted" 1 (Serve.Cache.persist_tunes exe);
   Alcotest.(check (list string)) "persisted table verifies" []
     (List.map Diag.to_string (Verifier.verify exe));
-  (* warm restart: decode the checkpoint, relink, replay the table *)
+  (* warm restart: decode the checkpoint, relink it from a fresh compile
+     of the module (fresh, untuned dispatchers), replay the table *)
   let exe2 = Verifier.of_bytes (Serialize.to_bytes exe) in
-  List.iter (Exe.link exe2) (Emitter.link_table ~options:link_options m);
+  Exe.relink ~from:(compile ()) exe2;
+  Alcotest.(check (option int)) "fresh dispatcher starts untuned" None
+    (Dispatch.pretuned (dispatcher exe2) ~extent:21);
   Alcotest.(check int) "decision replayed on relink" 1 (Serve.Cache.apply_tunes exe2);
   Alcotest.(check (option int)) "restart comes back pre-specialized" (Some 4)
     (Dispatch.pretuned (dispatcher exe2) ~extent:21);
@@ -390,7 +410,13 @@ let test_warm_restart_pretuned () =
 let test_compact_registers () =
   (* the pipeline without its final compaction: optimize, then emit *)
   let optimized, _ = Nimble.optimize ~options:sparse_opts (make_module shared_w) in
-  let exe = Emitter.emit_module ~options:link_options optimized in
+  let exe =
+    Emitter.emit_module
+      ~options:
+        { Emitter.default_options with
+          Emitter.dense_dispatch = sparse_opts.Nimble.dense_dispatch }
+      optimized
+  in
   let x = Tensor.randn rng [| 9; feature_dim |] in
   let reference = Interp.run_tensors (Interp.create exe) [ x ] in
   let before = Compact.register_count exe in
@@ -418,9 +444,7 @@ let with_fault spec f =
    (Ok bitwise-equal or a typed failure), and the hot extent must still
    end up specialized *)
 let test_chaos_install_under_faults () =
-  Dispatch.reset_counters ();
-  let m = make_module shared_w in
-  let exe = Nimble.compile ~options:sparse_opts m in
+  let exe = Nimble.compile ~options:sparse_opts (make_module shared_w) in
   let hot = 21 in
   let requests = 60 in
   let jobs =
@@ -522,6 +546,8 @@ let () =
             test_tuner_protocol;
           Alcotest.test_case "synchronous close-the-loop" `Quick
             test_sync_close_the_loop;
+          Alcotest.test_case "pending work keyed by dispatcher" `Quick
+            test_pending_by_dispatcher;
         ] );
       ( "persistence",
         [

@@ -377,6 +377,130 @@ let test_chaos_warm_restart () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "bystander model failed: %a" pp_error e)
 
+(* ------------------------------ relink ------------------------------ *)
+
+let run_exe exe x =
+  match Interp.invoke (Interp.create exe) [ x ] with
+  | Obj.Tensor t -> t.Obj.data
+  | o -> Alcotest.failf "ran to %a" Obj.pp o
+
+(* the dense dispatcher of a model's one dense kernel *)
+let dispatcher exe =
+  match Nimble_vm.Exe.dispatchers exe with
+  | [ (_, d) ] -> d
+  | ds -> Alcotest.failf "expected one dense dispatcher, got %d" (List.length ds)
+
+(* kernel names are a function of the module, so a snapshot restores into
+   a second cache that compiled the model afresh: relink only, the tune
+   replayed into that cache's own dispatcher, outputs bitwise-equal *)
+let test_restore_into_fresh_cache () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let build = make_module w_a in
+      let first = Cache.create () in
+      let exe = Cache.load first ~name:"a" ~build in
+      let x = input 5 in
+      let reference = run_exe exe x in
+      Nimble_codegen.Dispatch.install_tuned (dispatcher exe) ~extent:5 ~tile_m:4;
+      Alcotest.(check int) "checkpointed" 1 (Cache.snapshot first ~dir);
+      let second = Cache.create () in
+      let fresh = Cache.load second ~name:"a" ~build in
+      Alcotest.(check bool) "second cache has its own dispatcher" false
+        (dispatcher fresh == dispatcher exe);
+      let misses = Cache.misses second in
+      match Cache.restore second ~dir with
+      | [ r ] ->
+          Alcotest.(check int) "no recompile on restore" misses (Cache.misses second);
+          Alcotest.(check int) "tune replayed" 1 r.Cache.r_tunes_applied;
+          Alcotest.(check (option int)) "into the second cache's dispatcher" (Some 4)
+            (Nimble_codegen.Dispatch.pretuned (dispatcher fresh) ~extent:5);
+          Alcotest.check tensor_bitwise "bitwise across caches" reference
+            (run_exe r.Cache.r_exe x)
+      | rs -> Alcotest.failf "restored %d models" (List.length rs))
+
+let transpose_module axes () =
+  let x = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static 2; Dim.static 3 ]) "x" in
+  Irmod.of_main
+    (Expr.fn_def [ x ]
+       (Expr.op_call ~attrs:[ ("axes", Attrs.Ints axes) ] "transpose" [ Expr.Var x ]))
+
+(* two models whose kernels share a name but not their attributes: each
+   relinks from its own entry, never from the other's same-named kernel *)
+let test_same_kernel_names_across_models () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let models = [ ("t021", [ 0; 2; 1 ]); ("t210", [ 2; 1; 0 ]) ] in
+      let cache = Cache.create () in
+      let names =
+        List.map
+          (fun (name, axes) ->
+            (Cache.load cache ~name ~build:(transpose_module axes)).Nimble_vm.Exe.packed_names)
+          models
+      in
+      Alcotest.(check bool) "the models declare the same packed names" true
+        (List.nth names 0 = List.nth names 1);
+      Alcotest.(check int) "both checkpointed" 2 (Cache.snapshot cache ~dir);
+      let restored = Cache.restore cache ~dir in
+      let x = Tensor.randn rng [| 4; 2; 3 |] in
+      List.iter
+        (fun (name, axes) ->
+          let r = List.find (fun r -> r.Cache.r_name = name) restored in
+          Alcotest.check tensor_bitwise (name ^ " bitwise after restore")
+            (Ops_shape.transpose ~axes:(Array.of_list axes) x)
+            (run_exe r.Cache.r_exe (Obj.tensor x)))
+        models)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* restore fails with one Failure naming the model and the kernel when
+   the model was never loaded, or when the snapshot and the loaded model
+   disagree on a packed name, on either side *)
+let test_restore_failures () =
+  (* [relu x], or [relu (softmax x)]: softmax never fuses, so the second
+     module declares the first one's kernels plus its own *)
+  let relu_module ~softmax () =
+    let x = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static feature_dim ]) "x" in
+    let y = if softmax then Expr.op_call "softmax" [ Expr.Var x ] else Expr.Var x in
+    Irmod.of_main (Expr.fn_def [ x ] (Expr.op_call "relu" [ y ]))
+  in
+  let load ~softmax =
+    let cache = Cache.create () in
+    let exe = Cache.load cache ~name:"m" ~build:(relu_module ~softmax) in
+    (cache, Array.to_list (Array.map fst exe.Nimble_vm.Exe.packed_names))
+  in
+  let small, small_names = load ~softmax:false in
+  let large, large_names = load ~softmax:true in
+  let only_in a b = List.filter (fun n -> not (List.mem n b)) a in
+  let extra = only_in large_names small_names in
+  Alcotest.(check bool) "the larger model declares the smaller one's kernels and more"
+    true
+    (only_in small_names large_names = [] && extra <> []);
+  let small_dir = fresh_dir () and large_dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf small_dir;
+      rm_rf large_dir)
+    (fun () ->
+      ignore (Cache.snapshot small ~dir:small_dir);
+      ignore (Cache.snapshot large ~dir:large_dir);
+      let expect_failure what ~kernels cache ~dir =
+        match Cache.restore cache ~dir with
+        | _ -> Alcotest.failf "%s: restore succeeded" what
+        | exception Failure msg ->
+            Alcotest.(check bool) (what ^ ": names the model") true
+              (contains msg "snapshot restore of m:");
+            Alcotest.(check bool) (what ^ ": names the kernel") true
+              (List.exists (contains msg) kernels)
+      in
+      expect_failure "never loaded" ~kernels:small_names (Cache.create ()) ~dir:small_dir;
+      expect_failure "kernel only in the snapshot" ~kernels:extra
+        (fst (load ~softmax:false)) ~dir:large_dir;
+      expect_failure "kernel only in the loaded model" ~kernels:extra
+        (fst (load ~softmax:true)) ~dir:small_dir)
+
 (* ----------------------------- loadgen ------------------------------ *)
 
 let raises_invalid f =
@@ -490,6 +614,15 @@ let () =
             test_snapshot_rotation;
           Alcotest.test_case "killed shard warm-restarts" `Quick
             test_chaos_warm_restart;
+        ] );
+      ( "relink",
+        [
+          Alcotest.test_case "restore into a cache that compiled afresh" `Quick
+            test_restore_into_fresh_cache;
+          Alcotest.test_case "same kernel names across models" `Quick
+            test_same_kernel_names_across_models;
+          Alcotest.test_case "restore failures name model and kernel" `Quick
+            test_restore_failures;
         ] );
       ("loadgen", [ Alcotest.test_case "mix validation + drain" `Quick test_loadgen_validation ]);
     ]

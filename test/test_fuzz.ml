@@ -163,7 +163,7 @@ let prop_serialization_roundtrip_runs =
       let m = build_module nodes ~rows:Dim.Any ~cols in
       let exe = Nimble.compile m in
       let loaded = Nimble_vm.Serialize.of_bytes (Nimble_vm.Serialize.to_bytes exe) in
-      List.iter (Nimble_vm.Exe.link loaded) (Nimble_compiler.Emitter.link_table m);
+      Nimble_vm.Exe.relink ~from:exe loaded;
       let input = Tensor.randn ~scale:0.5 rng [| 3; cols |] in
       close
         (Interp.run_tensors (Nimble.vm exe) [ input ])

@@ -98,12 +98,12 @@ let test_packed_names_and_relink () =
   in
   let back = roundtrip exe in
   Alcotest.(check bool) "unlinked after load" false (Exe.linked back);
-  Exe.link back { Exe.packed_name = "k1"; kind = `Kernel; mode = None; run = (fun x -> x) };
-  Exe.link back { Exe.packed_name = "k1$shape"; kind = `Shape_func; mode = Some "data_indep"; run = (fun x -> x) };
+  Exe.link back { Exe.packed_name = "k1"; kind = `Kernel; mode = None; run = (fun x -> x); dispatch = None };
+  Exe.link back { Exe.packed_name = "k1$shape"; kind = `Shape_func; mode = Some "data_indep"; run = (fun x -> x); dispatch = None };
   Alcotest.(check bool) "linked" true (Exe.linked back);
   Alcotest.check_raises "unknown name"
     (Invalid_argument "Exe.link: executable has no packed function nope") (fun () ->
-      Exe.link back { Exe.packed_name = "nope"; kind = `Kernel; mode = None; run = (fun x -> x) })
+      Exe.link back { Exe.packed_name = "nope"; kind = `Kernel; mode = None; run = (fun x -> x); dispatch = None })
 
 let test_compiled_module_roundtrip_and_run () =
   (* full flow: compile -> serialize -> load -> relink -> run *)
@@ -113,10 +113,52 @@ let test_compiled_module_roundtrip_and_run () =
   let m = Irmod.of_main (Expr.fn_def [ x ] body) in
   let exe = Nimble.compile m in
   let loaded = roundtrip exe in
-  List.iter (Exe.link loaded) (Nimble_compiler.Emitter.link_table m);
+  Exe.relink ~from:exe loaded;
   let input = Tensor.randn rng [| 5; 6 |] in
   let out = Interp.run_tensors (Interp.create loaded) [ input ] in
   Alcotest.check tensor_eq "same result" (Ops_elem.relu (Ops_matmul.dense input w)) out
+
+(* Every zoo model, as [(name, build)]: weights made once, fresh IR per
+   [build ()] (the passes mutate the module they compile). *)
+let zoo () =
+  let open Nimble_models in
+  let lstm = Lstm.init_weights Lstm.small_config in
+  let posenc = Posenc.init_weights Posenc.default_config in
+  let gru = Gru.init_weights Gru.small_config in
+  let treelstm = Tree_lstm.init_weights Tree_lstm.small_config in
+  let bert = Bert.init_weights Bert.small_config in
+  let decoder = Decoder.init_weights Decoder.default_config in
+  let seq2seq = Seq2seq.init_weights Seq2seq.default_config in
+  [
+    ("lstm", fun () -> Lstm.ir_module lstm);
+    ("posenc", fun () -> Posenc.ir_module posenc);
+    ("gru", fun () -> Gru.ir_module gru);
+    ("treelstm", fun () -> Tree_lstm.ir_module treelstm);
+    ("bert", fun () -> Bert.ir_module bert);
+    ("decoder", fun () -> Decoder.ir_module decoder);
+    ("seq2seq", fun () -> Seq2seq.ir_module seq2seq);
+  ]
+  @ Vision.all
+
+(* Fused-kernel names and symbolic-dim ids are numbered per module, so a
+   model's bytes do not depend on what the process compiled before it:
+   compile the zoo in order, then again in reverse order, and every model
+   must serialize to the same bytes both times. *)
+let test_bytes_independent_of_compile_history () =
+  let zoo = zoo () in
+  let compile_all models =
+    List.map (fun (name, build) -> (name, Serialize.to_bytes (Nimble.compile (build ())))) models
+  in
+  let forward = compile_all zoo in
+  let reverse = compile_all (List.rev zoo) in
+  Alcotest.(check int) "every zoo model compiled" 11 (List.length forward);
+  List.iter
+    (fun (name, bytes) ->
+      Alcotest.(check bool)
+        (name ^ ": same bytes after the rest of the zoo")
+        true
+        (String.equal bytes (List.assoc name reverse)))
+    forward
 
 let test_file_roundtrip () =
   let exe =
@@ -199,6 +241,8 @@ let () =
           Alcotest.test_case "packed names + relink" `Quick test_packed_names_and_relink;
           Alcotest.test_case "compiled module runs after reload" `Quick
             test_compiled_module_roundtrip_and_run;
+          Alcotest.test_case "bytes independent of compile history" `Quick
+            test_bytes_independent_of_compile_history;
           Alcotest.test_case "file io" `Quick test_file_roundtrip;
           QCheck_alcotest.to_alcotest prop_lstm_exe_roundtrip_stable;
         ] );

@@ -14,7 +14,7 @@ let assemble ?(arity = 0) ?(constants = [||]) ?(packed = []) ~regs code =
       ~constants
       ~packed_names:(Array.of_list (List.map (fun (n, k, _) -> (n, k)) packed))
   in
-  List.iter (fun (n, k, f) -> Exe.link exe { Exe.packed_name = n; kind = k; mode = None; run = f }) packed;
+  List.iter (fun (n, k, f) -> Exe.link exe { Exe.packed_name = n; kind = k; mode = None; run = f; dispatch = None }) packed;
   exe
 
 let run ?(args = []) exe = Interp.invoke (Interp.create exe) args
