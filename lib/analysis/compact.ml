@@ -5,54 +5,63 @@
 
 open Nimble_vm
 
-(* Backward liveness to fixpoint: live_in[pc] = reads ∪ (live_out \ writes),
-   live_out[pc] = ∪ live_in[succ]. Registers out of [0, nregs) are ignored
-   (malformed code is the verifier's business, not ours). Hosted on the
-   shared [Dataflow] engine in [Backward] mode: the engine's per-node state
-   is live_out (the in-state in flow direction), and every pc is seeded
-   with bottom because dead code still gets its registers renamed. *)
-let liveness (f : Exe.vmfunc) : bool array array =
+(* Register sets as [int]-word bit sets: register [r] is bit
+   [r mod Sys.int_size] of word [r / Sys.int_size]. A function's states
+   are a handful of words, so copies stay small minor-heap blocks. *)
+let words nregs = (nregs + Sys.int_size - 1) / Sys.int_size
+let mem s r = s.(r / Sys.int_size) land (1 lsl (r mod Sys.int_size)) <> 0
+let add s r = s.(r / Sys.int_size) <- s.(r / Sys.int_size) lor (1 lsl (r mod Sys.int_size))
+let remove s r =
+  s.(r / Sys.int_size) <- s.(r / Sys.int_size) land lnot (1 lsl (r mod Sys.int_size))
+
+(* [union_into ~into s] adds [s] to [into]; true iff [into] grew. *)
+let union_into ~into s =
+  let changed = ref false in
+  Array.iteri
+    (fun w bits ->
+      let joined = into.(w) lor bits in
+      if joined <> into.(w) then begin
+        into.(w) <- joined;
+        changed := true
+      end)
+    s;
+  !changed
+
+(* [f r] for every member [r], in ascending order. *)
+let iter_members f s =
+  Array.iteri
+    (fun w bits ->
+      let bits = ref bits and r = ref (w * Sys.int_size) in
+      while !bits <> 0 do
+        if !bits land 1 <> 0 then f !r;
+        bits := !bits lsr 1;
+        incr r
+      done)
+    s
+
+(* live_in[pc] = reads ∪ (live_out \ writes). Registers out of
+   [0, nregs) are ignored (malformed code is the verifier's business, not
+   ours). *)
+let live_in (f : Exe.vmfunc) pc out =
+  let in_bounds r = r >= 0 && r < f.Exe.register_count in
+  let st = Array.copy out in
+  List.iter (fun r -> if in_bounds r then remove st r) (Verifier.writes f.Exe.code.(pc));
+  List.iter (fun r -> if in_bounds r then add st r) (Verifier.reads f.Exe.code.(pc));
+  st
+
+(* Backward liveness to fixpoint, live_out[pc] = ∪ live_in[succ] for every
+   pc. Hosted on the shared [Dataflow] engine in [Backward] mode: the
+   engine's per-node state is live_out (the in-state in flow direction),
+   and every pc is seeded with bottom because dead code still gets its
+   registers renamed. *)
+let liveness (f : Exe.vmfunc) : int array array =
   let code = f.Exe.code in
   let len = Array.length code in
-  let nregs = f.Exe.register_count in
-  let in_bounds r = r >= 0 && r < nregs in
-  let transfer pc (out : bool array) : bool array =
-    let st = Array.copy out in
-    List.iter (fun r -> if in_bounds r then st.(r) <- false) (Verifier.writes code.(pc));
-    List.iter (fun r -> if in_bounds r then st.(r) <- true) (Verifier.reads code.(pc));
-    st
-  in
-  let live_out =
-    Dataflow.solve ~direction:Dataflow.Backward ~num_nodes:len
-      ~successors:(fun pc -> Verifier.successors pc code.(pc))
-      ~transfer ~copy:Array.copy
-      ~join_into:(fun ~into out ->
-        let changed = ref false in
-        Array.iteri
-          (fun r v ->
-            if v && not into.(r) then begin
-              into.(r) <- true;
-              changed := true
-            end)
-          out;
-        !changed)
-      ~seeds:(List.init len (fun pc -> (pc, Array.make nregs false)))
-  in
-  Array.init len (fun pc ->
-      match live_out.(pc) with
-      | Some out -> transfer pc out
-      | None -> Array.make nregs false)
-
-(* live_out[pc] recomputed from the fixpoint live_in sets. *)
-let live_out_at (f : Exe.vmfunc) live_in pc =
-  let nregs = f.Exe.register_count in
-  let out = Array.make nregs false in
-  List.iter
-    (fun succ ->
-      if succ >= 0 && succ < Array.length f.Exe.code then
-        Array.iteri (fun r v -> if v then out.(r) <- true) live_in.(succ))
-    (Verifier.successors pc f.Exe.code.(pc));
-  out
+  Dataflow.solve ~direction:Dataflow.Backward ~num_nodes:len
+    ~successors:(fun pc -> Verifier.successors pc code.(pc))
+    ~transfer:(live_in f) ~copy:Array.copy ~join_into:union_into
+    ~seeds:(List.init len (fun pc -> (pc, Array.make (words f.Exe.register_count) 0)))
+  |> Array.map Option.get
 
 let map_regs (m : int -> int) : Isa.t -> Isa.t =
   let ma = Array.map m in
@@ -99,26 +108,24 @@ let compact_func (f : Exe.vmfunc) : Exe.vmfunc option =
   let arity = f.Exe.arity in
   if len = 0 || nregs <= arity then None
   else begin
-    let live_in = liveness f in
+    let live_out = liveness f in
     (* Interference: a definition clobbers its slot, so the defined register
        must not share a slot with anything live across the instruction. The
        entry "instruction" defines the argument registers with live_in[0]
        live across it. *)
-    let interf = Array.init nregs (fun _ -> Array.make nregs false) in
+    let interf = Array.init nregs (fun _ -> Array.make (words nregs) 0) in
     let edge a b =
       if a <> b && a >= 0 && b >= 0 && a < nregs && b < nregs then begin
-        interf.(a).(b) <- true;
-        interf.(b).(a) <- true
+        add interf.(a) b;
+        add interf.(b) a
       end
     in
+    let entry_live = live_in f 0 live_out.(0) in
     for p = 0 to arity - 1 do
-      Array.iteri (fun r v -> if v then edge p r) live_in.(0)
+      iter_members (edge p) entry_live
     done;
     for pc = 0 to len - 1 do
-      let out = live_out_at f live_in pc in
-      List.iter
-        (fun d -> Array.iteri (fun r v -> if v then edge d r) out)
-        (Verifier.writes code.(pc))
+      List.iter (fun d -> iter_members (edge d) live_out.(pc)) (Verifier.writes code.(pc))
     done;
     (* Greedy coloring, arguments precolored to their entry slots. *)
     let color = Array.make nregs (-1) in
@@ -126,12 +133,10 @@ let compact_func (f : Exe.vmfunc) : Exe.vmfunc option =
       color.(p) <- p
     done;
     for r = arity to nregs - 1 do
-      let taken = Array.make nregs false in
-      for o = 0 to nregs - 1 do
-        if interf.(r).(o) && color.(o) >= 0 then taken.(color.(o)) <- true
-      done;
+      let taken = Array.make (words nregs) 0 in
+      iter_members (fun o -> if color.(o) >= 0 then add taken color.(o)) interf.(r);
       let c = ref 0 in
-      while taken.(!c) do incr c done;
+      while mem taken !c do incr c done;
       color.(r) <- !c
     done;
     let new_count =

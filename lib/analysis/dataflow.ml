@@ -31,9 +31,25 @@ let solve (type st) ~(direction : direction) ~(num_nodes : int)
         done;
         fun node -> preds.(node)
   in
+  (* Flow order: ascending pc forward, descending pc backward. The worklist
+     is the set of pending ranks, each node in it at most once, and the
+     lowest pending rank is visited next: on straight-line code every node
+     is visited once, after all of its flow predecessors. *)
+  let rank =
+    (* its own inverse: maps a node to its rank and a rank to its node *)
+    match direction with Forward -> Fun.id | Backward -> fun i -> num_nodes - 1 - i
+  in
   let states : st option array = Array.make n None in
-  let work = Queue.create () in
-  let enqueue node = Queue.add node work in
+  let pending = Array.make n false in
+  (* no pending rank lies below [cursor] *)
+  let cursor = ref num_nodes in
+  let enqueue node =
+    let r = rank node in
+    if not pending.(r) then begin
+      pending.(r) <- true;
+      if r < !cursor then cursor := r
+    end
+  in
   List.iter
     (fun (node, st) ->
       if node >= 0 && node < num_nodes then begin
@@ -43,19 +59,24 @@ let solve (type st) ~(direction : direction) ~(num_nodes : int)
         enqueue node
       end)
     seeds;
-  while not (Queue.is_empty work) do
-    let node = Queue.pop work in
-    match states.(node) with
-    | None -> ()
-    | Some st ->
-        let out = transfer node st in
-        List.iter
-          (fun succ ->
-            match states.(succ) with
-            | None ->
-                states.(succ) <- Some (copy out);
-                enqueue succ
-            | Some old -> if join_into ~into:old out then enqueue succ)
-          (flow_succs node)
+  while !cursor < num_nodes do
+    let r = !cursor in
+    if not pending.(r) then incr cursor
+    else begin
+      pending.(r) <- false;
+      let node = rank r in
+      match states.(node) with
+      | None -> ()
+      | Some st ->
+          let out = transfer node st in
+          List.iter
+            (fun succ ->
+              match states.(succ) with
+              | None ->
+                  states.(succ) <- Some (copy out);
+                  enqueue succ
+              | Some old -> if join_into ~into:old out then enqueue succ)
+            (flow_succs node)
+    end
   done;
   states

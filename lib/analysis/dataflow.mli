@@ -20,6 +20,14 @@
       stores);
     - the lattice must have finite height (no infinite ascending chains).
 
+    Pending nodes are visited in flow order: ascending node index for
+    [Forward], descending for [Backward], the lowest pending rank first.
+    A node is in the worklist at most once, so a join that grows the state
+    of a node already pending does not queue it again. On straight-line
+    code every node is therefore visited once, after all of its flow
+    predecessors ([num_nodes] transfers, however many nodes are seeded);
+    only back edges cause revisits.
+
     Nodes never reached from a seed keep state [None] — for a must-analysis
     that reads as "unreachable, nothing to check"; a client that wants every
     node processed (liveness does: dead code still renames registers) seeds

@@ -166,10 +166,21 @@ let wrap next (e : Expr.t) : Expr.t =
 (* Step 2: pairwise merge to fixpoint                                  *)
 (* ------------------------------------------------------------------ *)
 
-let count_uses vid e =
-  let n = ref 0 in
-  Expr.iter (function Expr.Var v when v.Expr.vid = vid -> incr n | _ -> ()) e;
-  !n
+(* Uses of every variable of [e], by vid. Vids are unique, and a merge
+   moves the producer's argument uses into the merged call without adding
+   or dropping any (only the producer variable's single use goes, with its
+   binding), so counts taken once before the first round stay exact for
+   every variable still bound, through every round. *)
+let use_counts (e : Expr.t) : int -> int =
+  let counts = Hashtbl.create 256 in
+  Expr.iter
+    (function
+      | Expr.Var v ->
+          Hashtbl.replace counts v.Expr.vid
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts v.Expr.vid))
+      | _ -> ())
+    e;
+  fun vid -> Option.value ~default:0 (Hashtbl.find_opt counts vid)
 
 (* Inline producer primitive [pfn]/[pargs] into consumer [cfn]/[cargs] at the
    consumer parameter that receives [vp]. *)
@@ -210,54 +221,52 @@ let merge next ~vp ~(pfn : Expr.fn) ~pargs ~(cfn : Expr.fn) ~cargs ~pattern : Ex
     }
 
 (* Try to fuse [Let (v, prim-call, body)] with a consumer in [body]. *)
-let rec fuse_chain next (e : Expr.t) : Expr.t * bool =
+let rec fuse_chain next uses (e : Expr.t) : Expr.t * bool =
   match e with
   | Expr.Let
       (v, (Expr.Call { callee = Expr.Fn pfn; args = pargs; _ } as bound), body)
     when is_primitive pfn -> (
-      let uses = count_uses v.Expr.vid body in
-      match find_consumer next v.Expr.vid pfn body with
-      | Some rebuild when uses >= 1 ->
-          (rebuild ~pfn ~pargs, true)
-      | _ ->
-          let body', changed = fuse_chain next body in
+      match find_consumer next uses v.Expr.vid pfn body with
+      | Some rebuild -> (rebuild ~pfn ~pargs, true)
+      | None ->
+          let body', changed = fuse_chain next uses body in
           (Expr.Let (v, bound, body'), changed))
   | Expr.Let (v, bound, body) ->
-      let bound', c1 = fuse_inside next bound in
-      let body', c2 = fuse_chain next body in
+      let bound', c1 = fuse_inside next uses bound in
+      let body', c2 = fuse_chain next uses body in
       (Expr.Let (v, bound', body'), c1 || c2)
   | Expr.If (c, t, f) ->
-      let t', c1 = fuse_chain next t in
-      let f', c2 = fuse_chain next f in
+      let t', c1 = fuse_chain next uses t in
+      let f', c2 = fuse_chain next uses f in
       (Expr.If (c, t', f'), c1 || c2)
   | Expr.Match (s, clauses) ->
       let changed = ref false in
       let clauses =
         List.map
           (fun cl ->
-            let rhs, c = fuse_chain next cl.Expr.rhs in
+            let rhs, c = fuse_chain next uses cl.Expr.rhs in
             if c then changed := true;
             { cl with Expr.rhs })
           clauses
       in
       (Expr.Match (s, clauses), !changed)
-  | _ -> fuse_inside next e
+  | _ -> fuse_inside next uses e
 
-and fuse_inside next (e : Expr.t) : Expr.t * bool =
+and fuse_inside next uses (e : Expr.t) : Expr.t * bool =
   match e with
   | Expr.Fn fn when not (is_primitive fn) ->
-      let body, changed = fuse_chain next fn.Expr.body in
+      let body, changed = fuse_chain next uses fn.Expr.body in
       (Expr.Fn { fn with Expr.body = body }, changed)
   | Expr.If (c, t, f) ->
-      let t', c1 = fuse_chain next t in
-      let f', c2 = fuse_chain next f in
+      let t', c1 = fuse_chain next uses t in
+      let f', c2 = fuse_chain next uses f in
       (Expr.If (c, t', f'), c1 || c2)
   | Expr.Match (s, clauses) ->
       let changed = ref false in
       let clauses =
         List.map
           (fun cl ->
-            let rhs, c = fuse_chain next cl.Expr.rhs in
+            let rhs, c = fuse_chain next uses cl.Expr.rhs in
             if c then changed := true;
             { cl with Expr.rhs })
           clauses
@@ -268,9 +277,9 @@ and fuse_inside next (e : Expr.t) : Expr.t * bool =
 (* Search [body] for the unique consumer of [vp]: a directly-following
    primitive call taking [Var vp] as an argument, with [vp] used nowhere
    else. Returns a rebuild function on success. *)
-and find_consumer next vp (pfn : Expr.fn) (body : Expr.t) :
+and find_consumer next uses vp (pfn : Expr.fn) (body : Expr.t) :
     (pfn:Expr.fn -> pargs:Expr.t list -> Expr.t) option =
-  if count_uses vp body <> 1 then None
+  if uses vp <> 1 then None
   else
     match body with
     | Expr.Let (cv, Expr.Call { callee = Expr.Fn cfn; args = cargs; _ }, rest)
@@ -292,16 +301,20 @@ and find_consumer next vp (pfn : Expr.fn) (body : Expr.t) :
                 (fun ~pfn ~pargs ->
                   let merged = merge next ~vp ~pfn ~pargs ~cfn ~cargs ~pattern in
                   Expr.Let (cv, merged, rest)))
-    | Expr.Let (cv, bound, rest) when count_uses vp bound = 0 ->
+    | Expr.Let (cv, bound, rest) when not (Expr.uses_var vp bound) ->
         (* consumer appears later in the chain *)
         Option.map
           (fun rebuild ~pfn ~pargs -> Expr.Let (cv, bound, rebuild ~pfn ~pargs))
-          (find_consumer next vp pfn rest)
+          (find_consumer next uses vp pfn rest)
     | _ -> None
 
-let rec fixpoint next e =
-  let e', changed = fuse_chain next e in
-  if changed then fixpoint next e' else e'
+let fixpoint next e =
+  let uses = use_counts e in
+  let rec go e =
+    let e', changed = fuse_chain next uses e in
+    if changed then go e' else e'
+  in
+  go e
 
 (* Fusion over one function body (expects ANF), numbering its primitives
    from [next]. [merge = false] only wraps ops into singleton primitives

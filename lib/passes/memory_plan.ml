@@ -108,16 +108,10 @@ let size_expr_of_ty binders ~alignment (ty : Ty.t) : Sym_expr.t option =
         (go (Sym_expr.const 1) 0)
   | _ -> None
 
-let uses_var = Expr.uses_var
-
 module Int_set = Set.Make (Int)
 
-let uses_any vids e =
-  let found = ref false in
-  Expr.iter
-    (function Expr.Var v when Int_set.mem v.Expr.vid vids -> found := true | _ -> ())
-    e;
-  !found
+(* [f vid] for every variable use in [e], nested regions included. *)
+let iter_uses f e = Expr.iter (function Expr.Var v -> f v.Expr.vid | _ -> ()) e
 
 (* A binding whose RHS can carry a reference to a tensor onward (aliases,
    tuples, ADT construction, control-flow results). Kernel calls only read
@@ -128,15 +122,49 @@ let rhs_may_alias = function
   | Expr.Call { callee = Expr.Global _; _ } | Expr.Call { callee = Expr.Fn _; _ } -> true
   | _ -> false
 
-(* Liveness of a tensor must follow every alias: the set of vids through
-   which its buffer remains reachable. *)
-let alias_closure (barr : (Expr.var * Expr.t) array) start_vid =
-  let set = ref (Int_set.singleton start_vid) in
+(* Index of the last binding of the region that uses each variable
+   anywhere inside it, or [n] (the binding count) when the tail term uses
+   it. *)
+let last_use_index (barr : (Expr.var * Expr.t) array) term =
+  let last = Hashtbl.create 256 in
+  Array.iteri
+    (fun j (_, bound) -> iter_uses (fun vid -> Hashtbl.replace last vid j) bound)
+    barr;
+  iter_uses (fun vid -> Hashtbl.replace last vid (Array.length barr)) term;
+  last
+
+(* Liveness of a tensor must follow every alias through which its buffer
+   stays reachable. One forward pass gives each variable the set of
+   [tensors] it may reach: a tensor reaches itself, and a may-alias
+   binding reaches whatever the variables it uses (anywhere inside it)
+   reach. A buffer then lives until the last use of anything that reaches
+   it ([n] when the tail term does); [-1] when nothing uses it. *)
+let alias_last_use (barr : (Expr.var * Expr.t) array) ~last_use tensors : int -> int =
+  let reach = Hashtbl.create 64 in
+  let reach_of vid = Option.value ~default:Int_set.empty (Hashtbl.find_opt reach vid) in
+  List.iter (fun t -> Hashtbl.replace reach t (Int_set.add t (reach_of t))) tensors;
   Array.iter
     (fun ((v : Expr.var), bound) ->
-      if rhs_may_alias bound && uses_any !set bound then set := Int_set.add v.Expr.vid !set)
+      if rhs_may_alias bound then begin
+        let reached = ref Int_set.empty in
+        iter_uses (fun vid -> reached := Int_set.union (reach_of vid) !reached) bound;
+        if not (Int_set.is_empty !reached) then
+          Hashtbl.replace reach v.Expr.vid (Int_set.union !reached (reach_of v.Expr.vid))
+      end)
     barr;
-  !set
+  let last = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun vid ts ->
+      match Hashtbl.find_opt last_use vid with
+      | Some j ->
+          Int_set.iter
+            (fun t ->
+              Hashtbl.replace last t
+                (Stdlib.max j (Option.value ~default:(-1) (Hashtbl.find_opt last t))))
+            ts
+      | None -> ())
+    reach;
+  fun t -> Option.value ~default:(-1) (Hashtbl.find_opt last t)
 
 (* First-fit offset assignment over liveness intervals. *)
 let assign_offsets allocs =
@@ -198,7 +226,25 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
       bindings
   in
   let barr = Array.of_list bindings in
-  let n = Array.length barr in
+  (* -------- the tensor allocated from each storage ------------------ *)
+  (* storage vid -> (index, tensor var, tensor attrs) of the last
+     [memory.alloc_tensor] taking it; a storage bound at [i] keeps it only
+     when that index is past [i] *)
+  let tensor_of_storage = Hashtbl.create 64 in
+  Array.iteri
+    (fun j ((tv : Expr.var), tb) ->
+      match tb with
+      | Expr.Call
+          { callee = Expr.Op "memory.alloc_tensor"; args = Expr.Var sv :: _; attrs }
+        ->
+          Hashtbl.replace tensor_of_storage sv.Expr.vid (j, tv, attrs)
+      | _ -> ())
+    barr;
+  let tensor_after i (v : Expr.var) =
+    match Hashtbl.find_opt tensor_of_storage v.Expr.vid with
+    | Some (j, tv, tattrs) when j > i -> Some (tv, tattrs)
+    | _ -> None
+  in
   (* -------- collect static storage allocs in this region ------------ *)
   let allocs = ref [] in
   Array.iteri
@@ -211,24 +257,13 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
           let shape = Tensor.to_shape shape_t in
           let size = storage_size_bytes ~attrs shape in
           let device = Attrs.get_int ~default:0 attrs "device" in
-          (* find the tensor allocated from this storage, in this region *)
-          let tensor_var = ref None in
-          Array.iteri
-            (fun j ((tv : Expr.var), tb) ->
-              if j > i then
-                match tb with
-                | Expr.Call { callee = Expr.Op "memory.alloc_tensor"; args = Expr.Var sv :: _; _ }
-                  when sv.Expr.vid = v.Expr.vid ->
-                    tensor_var := Some tv.Expr.vid
-                | _ -> ())
-            barr;
-          match !tensor_var with
+          match tensor_after i v with
           | None -> ()
-          | Some tv ->
+          | Some (tv, _) ->
               allocs :=
                 {
                   storage_var = v.Expr.vid;
-                  tensor_var = tv;
+                  tensor_var = tv.Expr.vid;
                   alloc_index = i;
                   last_use = i;
                   size;
@@ -239,16 +274,6 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
       | _ -> ())
     barr;
   let allocs = List.rev !allocs in
-  (* -------- liveness (alias-aware) ----------------------------------- *)
-  List.iter
-    (fun a ->
-      let aliases = alias_closure barr a.tensor_var in
-      Array.iteri
-        (fun j (_, bound) ->
-          if uses_any aliases bound then a.last_use <- Stdlib.max a.last_use j)
-        barr;
-      if uses_any aliases term then a.last_use <- n (* escapes: live to end *))
-    allocs;
   (* -------- symbolic dynamic sites ----------------------------------- *)
   (* A plannable site is [storage = memory.alloc_storage(%sh)] followed by
      [out = memory.alloc_tensor(storage, %sh)] whose shape function is
@@ -265,22 +290,7 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
           when not (Attrs.get_bool attrs "arena") -> (
             let device = Attrs.get_int ~default:0 attrs "device" in
             let alignment = Attrs.get_int ~default:64 attrs "alignment" in
-            let tensor = ref None in
-            Array.iteri
-              (fun j ((tv : Expr.var), tb) ->
-                if j > i then
-                  match tb with
-                  | Expr.Call
-                      {
-                        callee = Expr.Op "memory.alloc_tensor";
-                        args = Expr.Var sv :: _;
-                        attrs = tattrs;
-                      }
-                    when sv.Expr.vid = v.Expr.vid ->
-                      tensor := Some (tv, tattrs)
-                  | _ -> ())
-              barr;
-            match !tensor with
+            match tensor_after i v with
             | Some (tv, tattrs)
               when (match Attrs.find_str tattrs "mode" with
                    (* proven sites have dominance-refined [Sym] dims, so
@@ -308,14 +318,18 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
         | _ -> ())
       barr;
   let dyn_sites = List.rev !dyn_sites in
+  (* -------- liveness (alias-aware) ----------------------------------- *)
+  let last_use = last_use_index barr term in
+  let buffer_last_use =
+    alias_last_use barr ~last_use
+      (List.map (fun a -> a.tensor_var) allocs
+      @ List.map (fun d -> d.d_tensor_var) dyn_sites)
+  in
   List.iter
-    (fun d ->
-      let aliases = alias_closure barr d.d_tensor_var in
-      Array.iteri
-        (fun j (_, bound) ->
-          if uses_any aliases bound then d.d_last_use <- Stdlib.max d.d_last_use j)
-        barr;
-      if uses_any aliases term then d.d_last_use <- n)
+    (fun a -> a.last_use <- Stdlib.max a.last_use (buffer_last_use a.tensor_var))
+    allocs;
+  List.iter
+    (fun d -> d.d_last_use <- Stdlib.max d.d_last_use (buffer_last_use d.d_tensor_var))
     dyn_sites;
   (* -------- coalesce per device ------------------------------------- *)
   let devices =
@@ -410,29 +424,30 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
         arena_lets := (arena_v, alloc) :: !arena_lets
       end)
     devices;
-  let by_storage_var =
-    List.fold_left (fun acc a -> (a.storage_var, a) :: acc) [] allocs
-  in
-  let by_dyn_storage =
-    List.fold_left (fun acc d -> (d.d_storage_var, d) :: acc) [] dyn_sites
-  in
+  let by_storage_var = Hashtbl.create 64 in
+  List.iter (fun a -> Hashtbl.replace by_storage_var a.storage_var a) allocs;
+  let by_dyn_storage = Hashtbl.create 16 in
+  List.iter (fun d -> Hashtbl.replace by_dyn_storage d.d_storage_var d) dyn_sites;
   (* -------- rewrite bindings ---------------------------------------- *)
+  (* each surviving binding keeps its original index, for kill insertion *)
   let rewritten =
     Array.to_list barr
-    |> List.filter_map (fun ((v : Expr.var), bound) ->
+    |> List.mapi (fun i b -> (i, b))
+    |> List.filter_map (fun (i, ((v : Expr.var), bound)) ->
            match bound with
            | Expr.Call { callee = Expr.Op "memory.alloc_storage"; _ }
-             when List.mem_assoc v.Expr.vid by_storage_var
-                  || List.mem_assoc v.Expr.vid by_dyn_storage ->
+             when Hashtbl.mem by_storage_var v.Expr.vid
+                  || Hashtbl.mem by_dyn_storage v.Expr.vid ->
                None (* replaced by the arena *)
            | Expr.Call
                { callee = Expr.Op "memory.alloc_tensor"; args = Expr.Var sv :: more; attrs }
-             when List.mem_assoc sv.Expr.vid by_storage_var ->
-               let a = List.assoc sv.Expr.vid by_storage_var in
+             when Hashtbl.mem by_storage_var sv.Expr.vid ->
+               let a = Hashtbl.find by_storage_var sv.Expr.vid in
                let arena_v = Hashtbl.find arena_vars a.device in
                let attrs = Attrs.set attrs "offset" (Attrs.Int a.offset) in
                Some
-                 ( v,
+                 ( i,
+                   v,
                    Expr.Call
                      {
                        callee = Expr.Op "memory.alloc_tensor";
@@ -441,38 +456,40 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
                      } )
            | Expr.Call
                { callee = Expr.Op "memory.alloc_tensor"; args = Expr.Var sv :: more; attrs }
-             when List.mem_assoc sv.Expr.vid by_dyn_storage ->
+             when Hashtbl.mem by_dyn_storage sv.Expr.vid ->
                (* a symbolic slot: the VM resolves the offset from the plan
                   bound by the enclosing [memory.bind_arena] *)
-               let d = List.assoc sv.Expr.vid by_dyn_storage in
+               let d = Hashtbl.find by_dyn_storage sv.Expr.vid in
                let arena_v = Hashtbl.find arena_vars d.d_device in
                let attrs = Attrs.set attrs "plan_slot" (Attrs.Int d.d_slot) in
                Some
-                 ( v,
+                 ( i,
+                   v,
                    Expr.Call
                      {
                        callee = Expr.Op "memory.alloc_tensor";
                        args = Expr.Var arena_v :: more;
                        attrs;
                      } )
-           | _ -> Some (v, bound))
+           | _ -> Some (i, v, bound))
   in
   (* -------- kill insertion for dynamic tensors ----------------------- *)
-  let coalesced_tensor_vids =
-    List.map (fun a -> a.tensor_var) allocs
-    @ List.map (fun d -> d.d_tensor_var) dyn_sites
-  in
+  let coalesced = Hashtbl.create 64 in
+  List.iter (fun a -> Hashtbl.replace coalesced a.tensor_var ()) allocs;
+  List.iter (fun d -> Hashtbl.replace coalesced d.d_tensor_var ()) dyn_sites;
+  let n = Array.length barr in
   let dynamic_tensors = ref [] in
   Array.iteri
     (fun i ((v : Expr.var), bound) ->
       match bound with
       | Expr.Call { callee = Expr.Op "memory.alloc_tensor"; _ }
-        when not (List.mem v.Expr.vid coalesced_tensor_vids) ->
-          let last = ref i in
-          Array.iteri
-            (fun j (_, b) -> if j > i && uses_var v.Expr.vid b then last := j)
-            barr;
-          if not (uses_var v.Expr.vid term) then dynamic_tensors := (v, !last) :: !dynamic_tensors
+        when not (Hashtbl.mem coalesced v.Expr.vid) -> (
+          (* killed after its last use, unless the tail term returns it *)
+          match Hashtbl.find_opt last_use v.Expr.vid with
+          | Some j when j = n -> ()
+          | j ->
+              let last = Stdlib.max i (Option.value ~default:i j) in
+              dynamic_tensors := (v, last) :: !dynamic_tensors)
       | _ -> ())
     barr;
   (* map: original index -> kills to insert after it *)
@@ -485,12 +502,9 @@ let rec plan_expr stats ~binders (e : Expr.t) : Expr.t =
   (* Rebuild, tracking the original index of each surviving binding. *)
   let with_kills =
     List.concat_map
-      (fun ((v : Expr.var), bound) ->
-        (* recover original index by matching vids *)
-        let orig_index = ref (-1) in
-        Array.iteri (fun j ((bv : Expr.var), _) -> if bv.Expr.vid = v.Expr.vid then orig_index := j) barr;
+      (fun (i, (v : Expr.var), bound) ->
         let kills =
-          match Hashtbl.find_opt kills_at !orig_index with
+          match Hashtbl.find_opt kills_at i with
           | Some vs ->
               List.map
                 (fun (kv : Expr.var) ->

@@ -205,6 +205,69 @@ let test_engine_matches_naive_on_seeded_cfgs () =
         [ Dataflow.Forward; Dataflow.Backward ])
     [ 1; 2; 3; 5; 8; 13; 21; 34 ]
 
+(* Gen-only union analysis on an explicit CFG: node [i] adds bit [i], so
+   every state differs from its neighbours' and every join that can grow
+   does. [transfers] counts the engine's calls to [transfer]. *)
+let solve_gen engine ~direction ~succs ~seeds =
+  let transfers = ref 0 in
+  let states =
+    engine ~direction ~num_nodes:(Array.length succs)
+      ~successors:(fun n -> succs.(n))
+      ~transfer:(fun n r ->
+        incr transfers;
+        ref (!r lor (1 lsl n)))
+      ~copy:(fun r -> ref !r)
+      ~join_into:(fun ~into s ->
+        let j = !into lor !s in
+        if j <> !into then begin
+          into := j;
+          true
+        end
+        else false)
+      ~seeds:(List.map (fun n -> (n, ref 0)) seeds)
+  in
+  (Array.map (Option.map ( ! )) states, !transfers)
+
+(* Work bound and loops: the engine visits pending nodes in flow order
+   and queues each at most once, so on a straight line of n nodes it calls
+   [transfer] exactly n times in both directions, whether only the flow
+   entry is seeded (verifier, Classify) or every node is (Compact's
+   liveness). With back edges (two nested loops; a loop tested at its
+   head) it revisits nodes, and must still reach the naive fixpoint. *)
+let test_engine_flow_order () =
+  let line = Array.init 40 (fun i -> if i + 1 < 40 then [ i + 1 ] else []) in
+  let cfgs =
+    [
+      ("straight line", line, true);
+      (* 0 -> 1 -> 2 -> 3 -> 4 -> 5, inner 3 -> 2, outer 4 -> 1 *)
+      ("nested loops", [| [ 1 ]; [ 2 ]; [ 3 ]; [ 4; 2 ]; [ 5; 1 ]; [] |], false);
+      (* 0 -> 1 (head: exit to 4 or body 2) -> 2 -> 3 -> 1 *)
+      ("head-tested loop", [| [ 1 ]; [ 2; 4 ]; [ 3 ]; [ 1 ]; [] |], false);
+    ]
+  in
+  List.iter
+    (fun (name, succs, straight) ->
+      let n = Array.length succs in
+      List.iter
+        (fun direction ->
+          (* information enters at the first node forward, the last backward *)
+          let dir, entry =
+            match direction with
+            | Dataflow.Forward -> ("fwd", 0)
+            | Dataflow.Backward -> ("bwd", n - 1)
+          in
+          List.iter
+            (fun (seeding, seeds) ->
+              let got, transfers = solve_gen Dataflow.solve ~direction ~succs ~seeds in
+              let want, _ = solve_gen naive_solve ~direction ~succs ~seeds in
+              let label = Fmt.str "%s %s, %s seeded" name dir seeding in
+              if straight then
+                Alcotest.(check int) (label ^ ": one transfer per node") n transfers;
+              Alcotest.(check (array (option int))) (label ^ ": naive fixpoint") want got)
+            [ ("entry", [ entry ]); ("every node", List.init n Fun.id) ])
+        [ Dataflow.Forward; Dataflow.Backward ])
+    cfgs
+
 (* ------------------------------------------------------------------ *)
 (* Cross-function ADT arity (Invoke / closure boundaries)              *)
 (* ------------------------------------------------------------------ *)
@@ -387,6 +450,8 @@ let () =
         [
           Alcotest.test_case "solve matches naive fixpoint on seeded CFGs"
             `Quick test_engine_matches_naive_on_seeded_cfgs;
+          Alcotest.test_case "flow order: n transfers on a line, loops converge"
+            `Quick test_engine_flow_order;
         ] );
       ( "cross_adt",
         [

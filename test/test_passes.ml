@@ -150,7 +150,7 @@ let test_dce_removes_dead_chain () =
         Expr.op_call "relu" [ Expr.Var x ],
         Expr.Let (b, Expr.op_call "tanh" [ Expr.Var a ], Expr.Var x) )
   in
-  let swept = Dce.fix e in
+  let swept = Dce.sweep e in
   Alcotest.(check int) "all dead removed" 0 (count_lets swept)
 
 let test_dce_keeps_effects () =
@@ -161,7 +161,57 @@ let test_dce_keeps_effects () =
         Expr.op_call "memory.invoke_mut" [ Expr.const_scalar 0.0 ],
         Expr.const_scalar 1.0 )
   in
-  Alcotest.(check int) "invoke_mut kept" 1 (count_lets (Dce.fix e))
+  Alcotest.(check int) "invoke_mut kept" 1 (count_lets (Dce.sweep e))
+
+(* Dead chains in an [If] branch, a [Match] clause and a closure body all
+   go in one run, and so does an outer binding whose only use was a dead
+   binding inside a branch: bodies are swept before their bindings. *)
+let test_dce_nested_regions_one_run () =
+  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
+  let dead_chain arg k =
+    let a = Expr.fresh_var "a" and b = Expr.fresh_var "b" in
+    Expr.Let
+      (a, Expr.op_call "relu" [ arg ], Expr.Let (b, Expr.op_call "tanh" [ Expr.Var a ], k))
+  in
+  let outer = Expr.fresh_var "outer" in
+  let r = Expr.fresh_var "r" and mres = Expr.fresh_var "m" and f = Expr.fresh_var "f" in
+  let y = Expr.fresh_var "y" in
+  let body =
+    Expr.Let
+      ( outer,
+        Expr.op_call "sigmoid" [ Expr.Var x ],
+        Expr.Let
+          ( r,
+            Expr.If (Expr.Var x, dead_chain (Expr.Var outer) (Expr.Var x), Expr.Var x),
+            Expr.Let
+              ( mres,
+                Expr.Match
+                  ( Expr.Var x,
+                    [ { Expr.pat = Expr.Pwild; rhs = dead_chain (Expr.Var x) (Expr.Var x) } ] ),
+                Expr.Let
+                  ( f,
+                    Expr.fn [ y ] (dead_chain (Expr.Var y) (Expr.Var y)),
+                    Expr.Tuple [ Expr.Var r; Expr.Var mres; Expr.Var f ] ) ) ) )
+  in
+  let m = Dce.run (Irmod.of_main (Expr.fn_def [ x ] body)) in
+  let swept = (Irmod.func_exn m "main").Expr.body in
+  Alcotest.(check int) "only r, m and f remain" 3 (count_lets swept);
+  List.iter
+    (fun op -> Alcotest.(check int) (op ^ " gone") 0 (count_op op swept))
+    [ "relu"; "tanh"; "sigmoid" ]
+
+(* One sweep is the fixpoint: on every zoo model after the full pipeline
+   (which ends in DCE), another run changes nothing. *)
+let test_dce_idempotent_on_zoo () =
+  let zoo = Zoo.models () in
+  Alcotest.(check int) "every zoo model" 11 (List.length zoo);
+  List.iter
+    (fun (name, build) ->
+      let m, _ = Nimble_compiler.Nimble.optimize (build ()) in
+      let before = Irmod.to_string m in
+      Alcotest.(check string) (name ^ ": second DCE is a no-op") before
+        (Irmod.to_string (Dce.run m)))
+    zoo
 
 (* ---------------------------- fusion ---------------------------- *)
 
@@ -397,6 +447,9 @@ let () =
         [
           Alcotest.test_case "removes dead chains" `Quick test_dce_removes_dead_chain;
           Alcotest.test_case "keeps effects" `Quick test_dce_keeps_effects;
+          Alcotest.test_case "nested regions in one run" `Quick
+            test_dce_nested_regions_one_run;
+          Alcotest.test_case "idempotent on the zoo" `Quick test_dce_idempotent_on_zoo;
         ] );
       ( "fusion",
         [

@@ -118,34 +118,12 @@ let test_compiled_module_roundtrip_and_run () =
   let out = Interp.run_tensors (Interp.create loaded) [ input ] in
   Alcotest.check tensor_eq "same result" (Ops_elem.relu (Ops_matmul.dense input w)) out
 
-(* Every zoo model, as [(name, build)]: weights made once, fresh IR per
-   [build ()] (the passes mutate the module they compile). *)
-let zoo () =
-  let open Nimble_models in
-  let lstm = Lstm.init_weights Lstm.small_config in
-  let posenc = Posenc.init_weights Posenc.default_config in
-  let gru = Gru.init_weights Gru.small_config in
-  let treelstm = Tree_lstm.init_weights Tree_lstm.small_config in
-  let bert = Bert.init_weights Bert.small_config in
-  let decoder = Decoder.init_weights Decoder.default_config in
-  let seq2seq = Seq2seq.init_weights Seq2seq.default_config in
-  [
-    ("lstm", fun () -> Lstm.ir_module lstm);
-    ("posenc", fun () -> Posenc.ir_module posenc);
-    ("gru", fun () -> Gru.ir_module gru);
-    ("treelstm", fun () -> Tree_lstm.ir_module treelstm);
-    ("bert", fun () -> Bert.ir_module bert);
-    ("decoder", fun () -> Decoder.ir_module decoder);
-    ("seq2seq", fun () -> Seq2seq.ir_module seq2seq);
-  ]
-  @ Vision.all
-
 (* Fused-kernel names and symbolic-dim ids are numbered per module, so a
    model's bytes do not depend on what the process compiled before it:
    compile the zoo in order, then again in reverse order, and every model
    must serialize to the same bytes both times. *)
 let test_bytes_independent_of_compile_history () =
-  let zoo = zoo () in
+  let zoo = Zoo.models () in
   let compile_all models =
     List.map (fun (name, build) -> (name, Serialize.to_bytes (Nimble.compile (build ())))) models
   in
@@ -159,6 +137,37 @@ let test_bytes_independent_of_compile_history () =
         true
         (String.equal bytes (List.assoc name reverse)))
     forward
+
+(* Serialized length and MD5 of every zoo model's executable, pinned. A
+   compile change meant only to be faster must leave each one as it is:
+   a different fusion merge order renames kernels, a different register
+   colouring renumbers operands, and either changes the bytes. *)
+let zoo_golden =
+  [
+    ("lstm", 63744, "cbb9491939065db0add5c4a972883b5d");
+    ("posenc", 3101, "8ec12d7d062ac5e8c32d43b745734411");
+    ("gru", 32621, "1893b245cb6fbdde4a0a0e32f5a5fe99");
+    ("treelstm", 32376, "c63c1e84dfce3a23479d447b8e8776d1");
+    ("bert", 276521, "4024e0b5ffdd679f46f7b9c8793f18dd");
+    ("decoder", 7901, "37206500d9ab8643b397fe0e37b6c198");
+    ("seq2seq", 30030, "4d8d3dd1912d21cd00a4344d9ce328df");
+    ("resnet", 338652, "b33083e648b7620b8df0820ea0bf4d58");
+    ("mobilenet", 419094, "3d7b0050d8f94605ff2ce8b8e7dec725");
+    ("vgg", 975070, "1dce826ce60610405b5696531b3c7f62");
+    ("squeezenet", 48471, "315cfaea95775dccc0e3a814b81a783d");
+  ]
+
+let test_zoo_bytes_pinned () =
+  let zoo = Zoo.models () in
+  Alcotest.(check (list string)) "pinned models" (List.map fst zoo)
+    (List.map (fun (name, _, _) -> name) zoo_golden);
+  List.iter
+    (fun (name, len, md5) ->
+      let bytes = Serialize.to_bytes (Nimble.compile ((List.assoc name zoo) ())) in
+      Alcotest.(check (pair int string))
+        (name ^ ": length and MD5") (len, md5)
+        (String.length bytes, Digest.to_hex (Digest.string bytes)))
+    zoo_golden
 
 let test_file_roundtrip () =
   let exe =
@@ -243,6 +252,7 @@ let () =
             test_compiled_module_roundtrip_and_run;
           Alcotest.test_case "bytes independent of compile history" `Quick
             test_bytes_independent_of_compile_history;
+          Alcotest.test_case "zoo bytes pinned" `Quick test_zoo_bytes_pinned;
           Alcotest.test_case "file io" `Quick test_file_roundtrip;
           QCheck_alcotest.to_alcotest prop_lstm_exe_roundtrip_stable;
         ] );
