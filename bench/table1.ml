@@ -12,18 +12,9 @@ module Platform = Nimble_perfsim.Platform
 module Framework = Nimble_perfsim.Framework
 module Nimble = Nimble_compiler.Nimble
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
+module Zoo = Nimble_workloads.Zoo
 
 let corpus_size = 4
-
-let lstm_input_obj xs =
-  let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-  let adt = Adt.tensor_list ~elem_ty in
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  List.fold_right
-    (fun x acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor x; acc |] })
-    xs
-    (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
 
 type system = {
   sys_name : string;
@@ -43,7 +34,7 @@ let systems (w : Lstm.weights) =
       run =
         (fun corpus ->
           List.map
-            (fun xs -> Obj.to_tensor (Nimble_runner.invoke vm [ lstm_input_obj xs ]))
+            (fun xs -> Obj.to_tensor (Nimble_runner.invoke vm [ Zoo.tensor_list xs ]))
             corpus);
     };
     {

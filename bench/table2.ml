@@ -12,19 +12,12 @@ module Platform = Nimble_perfsim.Platform
 module Framework = Nimble_perfsim.Framework
 module Nimble = Nimble_compiler.Nimble
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
+module Zoo = Nimble_workloads.Zoo
 
 let corpus_size = 4
 
-let rec tree_obj (leaf : Adt.ctor) (node : Adt.ctor) = function
-  | Tree_lstm.Leaf x -> Obj.Adt { tag = leaf.Adt.tag; fields = [| Obj.tensor x |] }
-  | Tree_lstm.Node (l, r) ->
-      Obj.Adt
-        { tag = node.Adt.tag; fields = [| tree_obj leaf node l; tree_obj leaf node r |] }
-
 let run () =
   let w = Tree_lstm.init_weights Tree_lstm.default_config in
-  let leaf, node = Tree_lstm.ctors w in
   let corpus = Nimble_workloads.Sst.trees w.Tree_lstm.config corpus_size in
   let tokens = Nimble_workloads.Sst.total_tokens corpus in
   let reference = List.map (Tree_lstm.reference w) corpus in
@@ -58,7 +51,7 @@ let run () =
     [
       row "Nimble" Framework.Nimble ~launch_per_op:false ~on_arm:true (fun () ->
           List.map
-            (fun t -> Obj.to_tensor (Nimble_runner.invoke vm [ tree_obj leaf node t ]))
+            (fun t -> Obj.to_tensor (Nimble_runner.invoke vm [ Zoo.tensor_tree t ]))
             corpus);
       row "PyTorch" Framework.Pytorch ~launch_per_op:true ~on_arm:true (fun () ->
           List.map (Nimble_baselines.Eager.tree_lstm w) corpus);

@@ -9,154 +9,22 @@
 
 open Cmdliner
 open Nimble_tensor
-open Nimble_models
 module Nimble = Nimble_compiler.Nimble
 module Interp = Nimble_vm.Interp
 module Serve = Nimble_serve
 module Fault = Nimble_fault.Fault
+module Zoo = Nimble_workloads.Zoo
 
 (** Exit with a one-line diagnostic (no backtrace): the polite way to
     refuse a malformed knob value. *)
 let die fmt = Fmt.kstr (fun msg -> Fmt.epr "nimble_cli: %s@." msg; exit 1) fmt
 
-(* ------------------------- model zoo ------------------------- *)
-
-type zoo_entry = {
-  description : string;
-  build : unit -> Nimble_ir.Irmod.t;
-  sample_input : seq:int -> Nimble_vm.Obj.t;
-}
-
-let lstm_entry () =
-  let w = Lstm.init_weights Lstm.small_config in
-  {
-    description = "LSTM (dynamic control flow over a TensorList)";
-    build = (fun () -> Lstm.ir_module w);
-    sample_input =
-      (fun ~seq ->
-        let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-        let adt = Nimble_ir.Adt.tensor_list ~elem_ty in
-        let nil = Nimble_ir.Adt.ctor_exn adt "Nil" in
-        let cons = Nimble_ir.Adt.ctor_exn adt "Cons" in
-        List.fold_right
-          (fun x acc ->
-            Nimble_vm.Obj.Adt
-              { tag = cons.Nimble_ir.Adt.tag; fields = [| Nimble_vm.Obj.tensor x; acc |] })
-          (Lstm.random_sequence w.Lstm.config ~len:seq)
-          (Nimble_vm.Obj.Adt { tag = nil.Nimble_ir.Adt.tag; fields = [||] }));
-  }
-
-let treelstm_entry () =
-  let w = Tree_lstm.init_weights Tree_lstm.small_config in
-  let leaf, node = Tree_lstm.ctors w in
-  let rec obj = function
-    | Tree_lstm.Leaf x ->
-        Nimble_vm.Obj.Adt
-          { tag = leaf.Nimble_ir.Adt.tag; fields = [| Nimble_vm.Obj.tensor x |] }
-    | Tree_lstm.Node (l, r) ->
-        Nimble_vm.Obj.Adt { tag = node.Nimble_ir.Adt.tag; fields = [| obj l; obj r |] }
-  in
-  {
-    description = "Tree-LSTM (dynamic data structure, SST-like trees)";
-    build = (fun () -> Tree_lstm.ir_module w);
-    sample_input =
-      (fun ~seq ->
-        let rng = Rng.create ~seed:1 in
-        obj (Nimble_workloads.Sst.sample_tree rng w.Tree_lstm.config ~tokens:(max 1 seq)));
-  }
-
-let bert_entry () =
-  let w = Bert.init_weights Bert.small_config in
-  {
-    description = "BERT encoder (dynamic sequence length)";
-    build = (fun () -> Bert.ir_module w);
-    sample_input =
-      (fun ~seq -> Nimble_vm.Obj.tensor (Bert.embed w (Bert.random_ids w ~len:seq)));
-  }
-
-let vision_entry name build =
-  {
-    description = Fmt.str "%s (static vision graph)" name;
-    build;
-    sample_input = (fun ~seq:_ -> Nimble_vm.Obj.tensor (Vision.random_input ()));
-  }
-
-let gru_entry () =
-  let w = Gru.init_weights Gru.small_config in
-  {
-    description = "GRU (dynamic control flow over a TensorList)";
-    build = (fun () -> Gru.ir_module w);
-    sample_input =
-      (fun ~seq ->
-        let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-        let adt = Nimble_ir.Adt.tensor_list ~elem_ty in
-        let nil = Nimble_ir.Adt.ctor_exn adt "Nil" in
-        let cons = Nimble_ir.Adt.ctor_exn adt "Cons" in
-        List.fold_right
-          (fun x acc ->
-            Nimble_vm.Obj.Adt
-              { tag = cons.Nimble_ir.Adt.tag; fields = [| Nimble_vm.Obj.tensor x; acc |] })
-          (Gru.random_sequence w.Gru.config ~len:seq)
-          (Nimble_vm.Obj.Adt { tag = nil.Nimble_ir.Adt.tag; fields = [||] }));
-  }
-
-let decoder_entry () =
-  let w = Decoder.init_weights Decoder.default_config in
-  {
-    description = "greedy decoder (output tensor grows per step)";
-    build = (fun () -> Decoder.ir_module w);
-    sample_input =
-      (fun ~seq -> Nimble_vm.Obj.tensor (Decoder.random_state ~seed:seq w.Decoder.config));
-  }
-
-let seq2seq_entry () =
-  let w = Seq2seq.init_weights Seq2seq.default_config in
-  {
-    description = "seq2seq (dynamic input length -> dynamic output length)";
-    build = (fun () -> Seq2seq.ir_module w);
-    sample_input =
-      (fun ~seq ->
-        let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-        let adt = Nimble_ir.Adt.tensor_list ~elem_ty in
-        let nil = Nimble_ir.Adt.ctor_exn adt "Nil" in
-        let cons = Nimble_ir.Adt.ctor_exn adt "Cons" in
-        List.fold_right
-          (fun x acc ->
-            Nimble_vm.Obj.Adt
-              { tag = cons.Nimble_ir.Adt.tag; fields = [| Nimble_vm.Obj.tensor x; acc |] })
-          (Seq2seq.random_sequence w.Seq2seq.config ~len:seq)
-          (Nimble_vm.Obj.Adt { tag = nil.Nimble_ir.Adt.tag; fields = [||] }));
-  }
-
-let posenc_entry () =
-  let w = Posenc.init_weights Posenc.default_config in
-  {
-    description =
-      "positional-encoding head (data-dependent arange proven static by \
-       shape-value dominance)";
-    build = (fun () -> Posenc.ir_module w);
-    sample_input =
-      (fun ~seq -> Nimble_vm.Obj.tensor (Posenc.random_input w ~len:(max 1 seq)));
-  }
-
-let zoo () : (string * zoo_entry) list =
-  [
-    ("lstm", lstm_entry ());
-    ("posenc", posenc_entry ());
-    ("gru", gru_entry ());
-    ("treelstm", treelstm_entry ());
-    ("bert", bert_entry ());
-    ("decoder", decoder_entry ());
-    ("seq2seq", seq2seq_entry ());
-  ]
-  @ List.map (fun (n, b) -> (n, vision_entry n b)) Vision.all
-
 let lookup name =
-  match List.assoc_opt name (zoo ()) with
-  | Some e -> e
+  match Zoo.find name with
+  | Some m -> m
   | None ->
       Fmt.epr "unknown model %s; try: %s@." name
-        (String.concat ", " (List.map fst (zoo ())));
+        (String.concat ", " (List.map (fun (m : Zoo.model) -> m.name) Zoo.models));
       exit 1
 
 (* ------------------------- commands ------------------------- *)
@@ -166,9 +34,14 @@ let model_arg =
 
 let models_cmd =
   let run () =
-    List.iter (fun (n, e) -> Fmt.pr "%-12s %s@." n e.description) (zoo ())
+    List.iter (fun (m : Zoo.model) -> Fmt.pr "%-12s %s@." m.name m.description) Zoo.models
   in
   Cmd.v (Cmd.info "models" ~doc:"List the built-in model zoo") Term.(const run $ const ())
+
+(** Write a JSON document to [path] and say so. *)
+let save_json path doc =
+  Nimble_vm.Json.save_file doc path;
+  Fmt.pr "report: %s@." path
 
 let compile_cmd =
   let output =
@@ -182,16 +55,11 @@ let compile_cmd =
           ~doc:"Write the compile report ($(i,nimble-compile/v1) JSON) to $(docv)")
   in
   let run model output report_out =
-    let entry = lookup model in
-    let exe, report = Nimble.compile_with_report (entry.build ()) in
+    let exe, report = Nimble.compile_with_report ((lookup model).build ()) in
     Nimble_vm.Serialize.save_file exe output;
     Fmt.pr "compiled %s -> %s@." model output;
     Fmt.pr "%a@." Nimble.pp_report report;
-    Option.iter
-      (fun path ->
-        Nimble_vm.Json.save_file (Nimble.report_to_json report) path;
-        Fmt.pr "report: %s@." path)
-      report_out
+    Option.iter (fun path -> save_json path (Nimble.report_to_json report)) report_out
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a zoo model to a serialized executable")
     Term.(const run $ model_arg $ output $ report_out)
@@ -217,59 +85,109 @@ let disasm_cmd =
 let seq_arg =
   Arg.(value & opt int 12 & info [ "seq" ] ~doc:"Sequence length / token count")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Domain-pool width for multicore kernels (overrides \
-           $(b,NIMBLE_NUM_DOMAINS); 1 = fully sequential)")
+(* ------------------------- shared knobs ------------------------- *)
 
-let apply_domains = Option.iter Nimble_parallel.Parallel.set_num_domains
+(** The knobs [run], [profile], [serve] and [loadgen] share. *)
+type knobs = {
+  options : Nimble.options;  (** [--no-guards] and [--no-symbolic-plan] applied *)
+  trace : Nimble_vm.Trace.t option;
+      (** the recorder, when [--trace] names a file; its clock starts
+          when the knobs are read *)
+  trace_out : string option;
+  report_out : string option;
+}
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a VM execution trace and write it to $(docv) as Chrome \
-           $(i,trace_event) JSON (load in Perfetto or chrome://tracing)")
+(** Reading the knobs applies [--domains] and [--fault]. A command takes
+    this term last, so its own knobs are validated first. *)
+let knobs_term =
+  let domains =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "Domain-pool width for multicore kernels (overrides \
+             $(b,NIMBLE_NUM_DOMAINS); 1 = fully sequential)")
+  in
+  let fault =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "fault" ] ~docv:"SPEC"
+          ~doc:
+            "Fault-injection spec, e.g. $(b,seed=11;*=0.05) or \
+             $(b,kernel_launch=0.5:transient) (overrides $(b,NIMBLE_FAULT_SPEC); \
+             grammar in docs/ROBUSTNESS.md)")
+  in
+  let no_guards =
+    Arg.(
+      value & flag
+      & info [ "no-guards" ]
+          ~doc:
+            "Compile without entry type guards (the runtime checks that validate \
+             each call's tensor arguments against the function's declared types; \
+             see docs/ROBUSTNESS.md)")
+  in
+  let no_symbolic_plan =
+    Arg.(
+      value & flag
+      & info [ "no-symbolic-plan" ]
+          ~doc:
+            "Compile without symbolic memory planning: dynamic allocations stay \
+             per-request storage allocs instead of slots in a per-request-bound \
+             reusable arena (the legacy behaviour; see docs/MEMORY.md)")
+  in
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record a VM execution trace and write it to $(docv) as Chrome \
+             $(i,trace_event) JSON (load in Perfetto or chrome://tracing)")
+  in
+  let report =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "report" ] ~docv:"FILE"
+          ~doc:
+            "Write a $(i,nimble-report/v1) JSON (profiler + compile report) to \
+             $(docv)")
+  in
+  let mk domains fault no_guards no_symbolic_plan trace_out report_out =
+    Option.iter Nimble_parallel.Parallel.set_num_domains domains;
+    Option.iter
+      (fun spec ->
+        try Fault.configure spec
+        with Fault.Spec_error msg -> die "bad --fault spec: %s" msg)
+      fault;
+    {
+      options =
+        {
+          Nimble.default_options with
+          Nimble.runtime_guards = not no_guards;
+          symbolic_plan = not no_symbolic_plan;
+        };
+      trace = Option.map (fun _ -> Nimble_vm.Trace.create ()) trace_out;
+      trace_out;
+      report_out;
+    }
+  in
+  Term.(const mk $ domains $ fault $ no_guards $ no_symbolic_plan $ trace $ report)
 
-let report_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "report" ] ~docv:"FILE"
-        ~doc:
-          "Write a $(i,nimble-report/v1) JSON (profiler + compile report) to \
-           $(docv)")
+(** Write the trace, tagged with [meta], when [--trace] asked for one. *)
+let save_trace k ~meta =
+  match (k.trace, k.trace_out) with
+  | Some tr, Some path ->
+      Nimble_vm.Trace.save_file ~meta tr path;
+      Fmt.pr "trace: %s (%d spans, %d dropped)@." path
+        (List.length (Nimble_vm.Trace.spans tr))
+        (Nimble_vm.Trace.dropped tr)
+  | _ -> ()
 
-let no_guards_arg =
-  Arg.(
-    value & flag
-    & info [ "no-guards" ]
-        ~doc:
-          "Compile without entry type guards (the runtime checks that validate \
-           each call's tensor arguments against the function's declared types; \
-           see docs/ROBUSTNESS.md)")
-
-let no_symbolic_plan_arg =
-  Arg.(
-    value & flag
-    & info [ "no-symbolic-plan" ]
-        ~doc:
-          "Compile without symbolic memory planning: dynamic allocations stay \
-           per-request storage allocs instead of slots in a per-request-bound \
-           reusable arena (the legacy behaviour; see docs/MEMORY.md)")
-
-let compile_options ~no_guards ~no_symbolic_plan () =
-  {
-    Nimble.default_options with
-    Nimble.runtime_guards = not no_guards;
-    Nimble.symbolic_plan = not no_symbolic_plan;
-  }
+(** Write [doc ()] when [--report] names a file. *)
+let save_report k doc = Option.iter (fun path -> save_json path (doc ())) k.report_out
 
 (* ------------------------- autotuning ------------------------- *)
 
@@ -347,21 +265,6 @@ let finish_autotuner ?(quiet = false) au =
       s.Nimble_codegen.Autotune.au_evictions;
   s
 
-let fault_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fault" ] ~docv:"SPEC"
-        ~doc:
-          "Fault-injection spec, e.g. $(b,seed=11;*=0.05) or \
-           $(b,kernel_launch=0.5:transient) (overrides $(b,NIMBLE_FAULT_SPEC); \
-           grammar in docs/ROBUSTNESS.md)")
-
-let apply_fault =
-  Option.iter (fun spec ->
-      try Fault.configure spec
-      with Fault.Spec_error msg -> die "bad --fault spec: %s" msg)
-
 (** The [nimble-report/v1] document: one CLI run's profiler report plus
     the compile report that produced the executable. *)
 let run_report_json ~model ~seq ~(creport : Nimble.report) vm =
@@ -374,35 +277,25 @@ let run_report_json ~model ~seq ~(creport : Nimble.report) vm =
       ("compile", Nimble.report_to_json creport);
     ]
 
-let save_trace ~model ~seq tr path =
-  let meta = [ ("model", model); ("seq", string_of_int seq) ] in
-  Nimble_vm.Trace.save_file ~meta tr path;
-  Fmt.pr "trace: %s (%d spans, %d dropped)@." path
-    (List.length (Nimble_vm.Trace.spans tr))
-    (Nimble_vm.Trace.dropped tr)
+(** Compile a zoo model with the knobs' options, and a VM over it that
+    records into the knobs' trace. *)
+let compile_traced model k =
+  let m = lookup model in
+  let exe, creport = Nimble.compile_with_report ~options:k.options (m.build ()) in
+  let vm = Nimble.vm exe in
+  Interp.set_trace vm k.trace;
+  (m, creport, vm)
 
-let save_report ~model ~seq ~creport vm path =
-  Nimble_vm.Json.save_file (run_report_json ~model ~seq ~creport vm) path;
-  Fmt.pr "report: %s@." path
+(** Save the trace and the [nimble-report/v1] document of a [run] or
+    [profile]. *)
+let save_run k ~model ~seq ~creport vm =
+  save_trace k ~meta:[ ("model", model); ("seq", string_of_int seq) ];
+  save_report k (fun () -> run_report_json ~model ~seq ~creport vm)
 
 let run_cmd =
-  let run model seq domains no_guards no_symbolic_plan fault trace_out report_out =
-    apply_domains domains;
-    apply_fault fault;
-    let entry = lookup model in
-    let exe, creport =
-      Nimble.compile_with_report
-        ~options:(compile_options ~no_guards ~no_symbolic_plan ())
-        (entry.build ())
-    in
-    let vm = Nimble.vm exe in
-    let tr =
-      match trace_out with
-      | Some _ -> Some (Nimble_vm.Trace.create ())
-      | None -> None
-    in
-    Interp.set_trace vm tr;
-    let input = entry.sample_input ~seq in
+  let run model seq k =
+    let m, creport, vm = compile_traced model k in
+    let input = m.sample_input ~seq in
     let t0 = Unix.gettimeofday () in
     let out =
       match Interp.invoke_result vm [ input ] with
@@ -415,15 +308,10 @@ let run_cmd =
         Fmt.pr "output: %a (%.2f ms)@." Shape.pp (Tensor.shape p.Nimble_vm.Obj.data) ms
     | o -> Fmt.pr "output: %a (%.2f ms)@." Nimble_vm.Obj.pp o ms);
     Fmt.pr "@.profile:@.%a" Nimble_vm.Profiler.pp (Interp.profiler vm);
-    (match (tr, trace_out) with
-    | Some tr, Some path -> save_trace ~model ~seq tr path
-    | _ -> ());
-    Option.iter (save_report ~model ~seq ~creport vm) report_out
+    save_run k ~model ~seq ~creport vm
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and run a zoo model with profiling")
-    Term.(
-      const run $ model_arg $ seq_arg $ domains_arg $ no_guards_arg
-      $ no_symbolic_plan_arg $ fault_arg $ trace_arg $ report_arg)
+    Term.(const run $ model_arg $ seq_arg $ knobs_term)
 
 let profile_cmd =
   let runs =
@@ -435,23 +323,9 @@ let profile_cmd =
       & info [ "json" ]
           ~doc:"Print the $(i,nimble-report/v1) JSON to stdout instead of tables")
   in
-  let run model seq domains runs json no_guards no_symbolic_plan trace_out
-      report_out =
-    apply_domains domains;
-    let entry = lookup model in
-    let exe, creport =
-      Nimble.compile_with_report
-        ~options:(compile_options ~no_guards ~no_symbolic_plan ())
-        (entry.build ())
-    in
-    let vm = Nimble.vm exe in
-    let tr =
-      match trace_out with
-      | Some _ -> Some (Nimble_vm.Trace.create ())
-      | None -> None
-    in
-    Interp.set_trace vm tr;
-    let input = entry.sample_input ~seq in
+  let run model seq runs json k =
+    let m, creport, vm = compile_traced model k in
+    let input = m.sample_input ~seq in
     let runs = max 1 runs in
     (* reuse one execution context across the measured runs, as the
        serving workers do: steady-state cost, not per-call allocation *)
@@ -471,19 +345,14 @@ let profile_cmd =
         (if Interp.frame_reuses ctx = 1 then "" else "s")
         Nimble_vm.Profiler.pp (Interp.profiler vm)
     end;
-    (match (tr, trace_out) with
-    | Some tr, Some path -> save_trace ~model ~seq tr path
-    | _ -> ());
-    Option.iter (save_report ~model ~seq ~creport vm) report_out
+    save_run k ~model ~seq ~creport vm
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Compile and run a zoo model, then print per-pass compile stats and \
           the runtime profile (or the JSON report with $(b,--json))")
-    Term.(
-      const run $ model_arg $ seq_arg $ domains_arg $ runs $ json $ no_guards_arg
-      $ no_symbolic_plan_arg $ trace_arg $ report_arg)
+    Term.(const run $ model_arg $ seq_arg $ runs $ json $ knobs_term)
 
 (* ------------------------- serving ------------------------- *)
 
@@ -586,10 +455,10 @@ let models_arg =
           "Serve several zoo models as a fleet with weighted worker shares, \
            e.g. $(b,mlp:w=3,rnn:w=1) (default weight 1)")
 
-(** Parse a [--models] spec into (name, zoo entry, weight) triples; any
+(** Parse a [--models] spec into (zoo model, weight) pairs; any
     malformed entry, unknown model, bad weight or duplicate exits 1 with
     a one-line diagnostic. *)
-let parse_models spec : (string * zoo_entry * int) list =
+let parse_models spec : (Zoo.model * int) list =
   let entries =
     String.split_on_char ',' spec |> List.map String.trim
     |> List.filter (fun e -> e <> "")
@@ -620,7 +489,7 @@ let parse_models spec : (string * zoo_entry * int) list =
           if i < j && name = n2 then die "--models: duplicate model %s" name)
         parsed)
     parsed;
-  List.map (fun (name, w) -> (name, lookup name, w)) parsed
+  List.map (fun (name, w) -> (lookup name, w)) parsed
 
 (** Breaker / admission / snapshot knobs for the fleet tier, validated
     to one-line exit-1 diagnostics. Produces
@@ -717,36 +586,21 @@ let fleet_knobs_term =
 
 (** Cold-load through the warm cache (serialize → deserialize → relink),
     then load again to show the warm path. *)
-let cache_load ?(quiet = false) ?options ~model (entry : zoo_entry) =
+let cache_load ?(quiet = false) ~options (m : Zoo.model) =
   let cache = Serve.Cache.create () in
   let t0 = Unix.gettimeofday () in
-  let exe = Serve.Cache.load ?options cache ~name:model ~build:entry.build in
+  let exe = Serve.Cache.load ~options cache ~name:m.name ~build:m.build in
   let cold_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-  ignore (Serve.Cache.load ?options cache ~name:model ~build:entry.build);
+  ignore (Serve.Cache.load ~options cache ~name:m.name ~build:m.build);
   let bytes =
-    match Serve.Cache.serialized_bytes cache ~name:model with Some b -> b | None -> 0
+    match Serve.Cache.serialized_bytes cache ~name:m.name with Some b -> b | None -> 0
   in
   if not quiet then
-    Fmt.pr "loaded %s: cold %.1f ms (%d bytes serialized), warm hits %d@." model cold_ms
+    Fmt.pr "loaded %s: cold %.1f ms (%d bytes serialized), warm hits %d@." m.name cold_ms
       bytes (Serve.Cache.hits cache);
   exe
 
-let save_serve_trace ~model tr path =
-  let meta = [ ("model", model); ("mode", "serve") ] in
-  Nimble_vm.Trace.save_file ~meta tr path;
-  Fmt.pr "trace: %s (%d spans, %d dropped)@." path
-    (List.length (Nimble_vm.Trace.spans tr))
-    (Nimble_vm.Trace.dropped tr)
-
-(** The serving report: [nimble-profile/v1] from a sequential reference
-    VM, with the engine's statistics embedded as the [server] section
-    (and, when specialization ran, the tuner's as [autotune]). *)
-let save_serve_report ?autotune ~ref_vm engine path =
-  let server = Serve.Engine.server_json engine in
-  Nimble_vm.Json.save_file
-    (Nimble_vm.Profiler.to_json ~server ?autotune (Interp.profiler ref_vm))
-    path;
-  Fmt.pr "report: %s@." path
+let serve_meta model = [ ("model", model); ("mode", "serve") ]
 
 let serve_cmd =
   let model_pos =
@@ -764,17 +618,15 @@ let serve_cmd =
   let seq_max =
     Arg.(value & opt int 16 & info [ "seq-max" ] ~doc:"Largest sequence length served")
   in
-  let serve_one model cfg options autotuner tr requests seq_min seq_max
-      trace_out report_out =
-    let entry = lookup model in
-    let exe = cache_load ~options ~model entry in
-    let engine = Serve.Engine.create ~config:cfg ?trace:tr ?autotune:autotuner exe in
+  let serve_one (m : Zoo.model) cfg autotuner k requests seq_min seq_max =
+    let exe = cache_load ~options:k.options m in
+    let engine = Serve.Engine.create ~config:cfg ?trace:k.trace ?autotune:autotuner exe in
     let span = seq_max - seq_min + 1 in
     (* round-robin over the seq range: distinct shapes exercise bucketing *)
     let jobs =
       Array.init requests (fun i ->
           let seq = seq_min + (i mod span) in
-          (seq, entry.sample_input ~seq))
+          (seq, m.sample_input ~seq))
     in
     let t0 = Unix.gettimeofday () in
     let tickets =
@@ -827,14 +679,18 @@ let serve_cmd =
       (float_of_int !ok /. Float.max 1e-9 wall_s)
       !rejected !timed_out !failed;
     Fmt.pr "@.%a@." Serve.Stats.pp_summary (Serve.Engine.stats engine);
-    (match (tr, trace_out) with
-    | Some tr, Some path -> save_serve_trace ~model tr path
-    | _ -> ());
-    Option.iter (save_serve_report ?autotune:au_summary ~ref_vm engine) report_out
+    save_trace k ~meta:(serve_meta m.name);
+    (* the serving report: [nimble-profile/v1] from the reference VM, with
+       the engine's statistics as the [server] section (and, when
+       specialization ran, the tuner's as [autotune]) *)
+    save_report k (fun () ->
+        let server = Serve.Engine.server_json engine in
+        Nimble_vm.Profiler.to_json ~server ?autotune:au_summary (Interp.profiler ref_vm))
   in
-  let serve_fleet spec (breaker, admission, snapshot_dir) cfg options tr
-      requests seq_min seq_max trace_out report_out =
+  let serve_fleet spec (breaker, admission, snapshot_dir) cfg k requests seq_min
+      seq_max =
     let specs = parse_models spec in
+    let options = k.options in
     let fleet_cfg =
       {
         Serve.Fleet.total_workers = cfg.Serve.Engine.workers;
@@ -844,10 +700,10 @@ let serve_cmd =
       }
     in
     let fleet =
-      Serve.Fleet.create ~options ?trace:tr ~config:fleet_cfg
+      Serve.Fleet.create ~options ?trace:k.trace ~config:fleet_cfg
         (List.map
-           (fun (name, (entry : zoo_entry), weight) ->
-             { Serve.Fleet.name; build = entry.build; weight })
+           (fun ((m : Zoo.model), weight) ->
+             { Serve.Fleet.name = m.name; build = m.build; weight })
            specs)
     in
     (* a manifest in the snapshot dir means a previous run checkpointed:
@@ -856,30 +712,29 @@ let serve_cmd =
     (match snapshot_dir with
     | Some dir when Sys.file_exists (Filename.concat dir "MANIFEST.json") ->
         List.iter
-          (fun (name, _, _) ->
+          (fun ((m : Zoo.model), _) ->
             try
-              let r = Serve.Fleet.warm_restart fleet ~dir ~model:name in
+              let r = Serve.Fleet.warm_restart fleet ~dir ~model:m.name in
               Fmt.pr "warm-restarted %s from %s: %d tunes, %d arena hints@."
-                name dir r.Serve.Cache.r_tunes_applied
+                m.name dir r.Serve.Cache.r_tunes_applied
                 (List.length r.Serve.Cache.r_arena_hints)
             with Failure msg -> die "snapshot restore failed: %s" msg)
           specs
     | _ -> ());
-    let names = Array.of_list (List.map (fun (n, _, _) -> n) specs) in
-    let entries = Array.of_list (List.map (fun (_, e, _) -> e) specs) in
+    let models = Array.of_list (List.map fst specs) in
     let span = seq_max - seq_min + 1 in
     (* round-robin over models and the seq range *)
     let jobs =
       Array.init requests (fun i ->
-          let mi = i mod Array.length names in
+          let mi = i mod Array.length models in
           let seq = seq_min + (i mod span) in
-          (mi, seq, entries.(mi).sample_input ~seq))
+          (mi, seq, models.(mi).sample_input ~seq))
     in
     let t0 = Unix.gettimeofday () in
     let tickets =
       Array.map
         (fun (mi, seq, input) ->
-          (mi, Serve.Fleet.submit fleet ~model:names.(mi) ~shape:[| seq |] input))
+          (mi, Serve.Fleet.submit fleet ~model:models.(mi).name ~shape:[| seq |] input))
         jobs
     in
     let ok = ref 0 and rejected = ref 0 and shed = ref 0 and tripped = ref 0 in
@@ -903,6 +758,10 @@ let serve_cmd =
             Fmt.epr "request failed: %a@." Interp.pp_failure fl)
       tickets;
     let wall_s = Unix.gettimeofday () -. t0 in
+    let reference_vm (m : Zoo.model) =
+      Nimble.vm
+        (Serve.Cache.load ~options (Serve.Fleet.cache fleet) ~name:m.name ~build:m.build)
+    in
     (* bitwise check of one served request against a sequential reference
        VM of the same model (fault injection suspended) *)
     let ref_vm = ref None in
@@ -910,15 +769,11 @@ let serve_cmd =
         match !first_ok with
         | Some (i, mi, out) -> (
             let _, _, input = jobs.(i) in
-            let exe =
-              Serve.Cache.load ~options (Serve.Fleet.cache fleet)
-                ~name:names.(mi) ~build:entries.(mi).build
-            in
-            let vm = Nimble.vm exe in
+            let vm = reference_vm models.(mi) in
             ref_vm := Some vm;
             match (out, Interp.invoke vm [ input ]) with
             | Nimble_vm.Obj.Tensor served, Nimble_vm.Obj.Tensor reference ->
-                Fmt.pr "bitwise vs sequential reference (%s): %b@." names.(mi)
+                Fmt.pr "bitwise vs sequential reference (%s): %b@." models.(mi).name
                   (Tensor.equal served.Nimble_vm.Obj.data reference.Nimble_vm.Obj.data)
             | _ -> ())
         | None -> ());
@@ -943,49 +798,25 @@ let serve_cmd =
           name weight workers lanes open_lanes c.Serve.Breaker.c_trips
           c.Serve.Breaker.c_shed Serve.Stats.pp_summary summary)
       (Serve.Fleet.model_stats fleet);
-    (match (tr, trace_out) with
-    | Some tr, Some path -> save_serve_trace ~model:spec tr path
-    | _ -> ());
-    Option.iter
-      (fun path ->
-        let prof =
-          match !ref_vm with
-          | Some vm -> Interp.profiler vm
-          | None ->
-              Interp.profiler
-                (Nimble.vm
-                   (Serve.Cache.load ~options (Serve.Fleet.cache fleet)
-                      ~name:names.(0) ~build:entries.(0).build))
-        in
-        Nimble_vm.Json.save_file
-          (Nimble_vm.Profiler.to_json ~fleet:(Serve.Fleet.fleet_json fleet) prof)
-          path;
-        Fmt.pr "report: %s@." path)
-      report_out;
+    save_trace k ~meta:(serve_meta spec);
+    save_report k (fun () ->
+        let vm = match !ref_vm with Some vm -> vm | None -> reference_vm models.(0) in
+        Nimble_vm.Profiler.to_json ~fleet:(Serve.Fleet.fleet_json fleet)
+          (Interp.profiler vm));
     Serve.Fleet.shutdown fleet
   in
-  let run model_opt models_spec knobs domains cfg autotune requests seq_min
-      seq_max no_guards no_symbolic_plan fault trace_out report_out =
-    apply_domains domains;
-    apply_fault fault;
+  let run model_opt models_spec fleet_knobs cfg autotune requests seq_min seq_max k =
     if requests < 1 then die "--requests must be >= 1 (got %d)" requests;
     if seq_min < 1 then die "--seq-min must be >= 1 (got %d)" seq_min;
     if seq_max < seq_min then
       die "--seq-max (%d) must be >= --seq-min (%d)" seq_max seq_min;
-    let options = compile_options ~no_guards ~no_symbolic_plan () in
-    let tr =
-      match trace_out with Some _ -> Some (Nimble_vm.Trace.create ()) | None -> None
-    in
     match (model_opt, models_spec) with
     | Some _, Some _ -> die "pass either MODEL or --models, not both"
     | None, None -> die "name a MODEL or pass --models NAME[:w=N],..."
     | Some model, None ->
-        let autotuner = make_autotuner autotune in
-        serve_one model cfg options autotuner tr requests seq_min seq_max
-          trace_out report_out
-    | None, Some spec ->
-        serve_fleet spec knobs cfg options tr requests seq_min seq_max
-          trace_out report_out
+        let m = lookup model in
+        serve_one m cfg (make_autotuner autotune) k requests seq_min seq_max
+    | None, Some spec -> serve_fleet spec fleet_knobs cfg k requests seq_min seq_max
   in
   Cmd.v
     (Cmd.info "serve"
@@ -995,10 +826,8 @@ let serve_cmd =
           snapshot/warm-restart ($(b,--models)) — with a bitwise check \
           against a sequential reference run")
     Term.(
-      const run $ model_pos $ models_arg $ fleet_knobs_term $ domains_arg
-      $ engine_config_term $ autotune_term $ requests $ seq_min $ seq_max
-      $ no_guards_arg $ no_symbolic_plan_arg $ fault_arg $ trace_arg
-      $ report_arg)
+      const run $ model_pos $ models_arg $ fleet_knobs_term $ engine_config_term
+      $ autotune_term $ requests $ seq_min $ seq_max $ knobs_term)
 
 let loadgen_cmd =
   let rate =
@@ -1017,11 +846,6 @@ let loadgen_cmd =
           ~doc:
             "Weighted sequence-length mix, e.g. $(b,4:0.5,16:0.5); weights need \
              not sum to 1")
-  in
-  let steady =
-    Arg.(
-      value & flag
-      & info [ "steady" ] ~doc:"Fixed inter-arrival gaps instead of Poisson")
   in
   let process =
     Arg.(
@@ -1085,20 +909,11 @@ let loadgen_cmd =
         | _ -> bad ())
     | _ -> bad ()
   in
-  let run model domains cfg autotune rate duration clients mix steady process
-      seed json no_guards no_symbolic_plan fault trace_out report_out =
-    apply_domains domains;
-    apply_fault fault;
+  let run model cfg autotune rate duration clients mix process seed json k =
     if rate <= 0.0 then die "--rate must be > 0 (got %g)" rate;
     if duration <= 0.0 then die "--duration must be > 0 (got %g)" duration;
     if clients < 1 then die "--clients must be >= 1 (got %d)" clients;
-    let process =
-      match process with
-      | Some p ->
-          if steady then die "pass either --steady or --process, not both";
-          parse_process p
-      | None -> if steady then Serve.Loadgen.Steady else Serve.Loadgen.Poisson
-    in
+    let process = Option.fold ~none:Serve.Loadgen.Poisson ~some:parse_process process in
     let mix_parsed = parse_mix mix in
     if mix_parsed = [] then die "--mix must name at least one SEQ:WEIGHT entry";
     List.iter
@@ -1106,14 +921,10 @@ let loadgen_cmd =
         if shape.(0) < 1 then die "--mix sequence lengths must be >= 1 (got %d)" shape.(0);
         if w <= 0.0 then die "--mix weights must be > 0 (got %g)" w)
       mix_parsed;
-    let entry = lookup model in
-    let options = compile_options ~no_guards ~no_symbolic_plan () in
-    let exe = cache_load ~quiet:json ~options ~model entry in
-    let tr =
-      match trace_out with Some _ -> Some (Nimble_vm.Trace.create ()) | None -> None
-    in
+    let m = lookup model in
+    let exe = cache_load ~quiet:json ~options:k.options m in
     let autotuner = make_autotuner autotune in
-    let engine = Serve.Engine.create ~config:cfg ?trace:tr ?autotune:autotuner exe in
+    let engine = Serve.Engine.create ~config:cfg ?trace:k.trace ?autotune:autotuner exe in
     let lcfg =
       {
         Serve.Loadgen.rate_rps = rate;
@@ -1127,7 +938,7 @@ let loadgen_cmd =
     in
     let result =
       Serve.Loadgen.run ~config:lcfg engine ~make_input:(fun ~shape ->
-          entry.sample_input ~seq:shape.(0))
+          m.sample_input ~seq:shape.(0))
     in
     Serve.Engine.shutdown engine;
     ignore (Option.map (finish_autotuner ~quiet:json) autotuner);
@@ -1138,14 +949,8 @@ let loadgen_cmd =
         result.Serve.Loadgen.wall_s result.Serve.Loadgen.achieved_rps;
       Fmt.pr "@.%a@." Serve.Stats.pp_summary result.Serve.Loadgen.summary
     end;
-    (match (tr, trace_out) with
-    | Some tr, Some path -> save_serve_trace ~model tr path
-    | _ -> ());
-    Option.iter
-      (fun path ->
-        Nimble_vm.Json.save_file (Serve.Engine.server_json engine) path;
-        Fmt.pr "report: %s@." path)
-      report_out
+    save_trace k ~meta:(serve_meta model);
+    save_report k (fun () -> Serve.Engine.server_json engine)
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -1154,10 +959,8 @@ let loadgen_cmd =
           Poisson or steady arrivals over a weighted shape mix) and report \
           throughput, latency percentiles and the batch-size histogram")
     Term.(
-      const run $ model_arg $ domains_arg $ engine_config_term $ autotune_term
-      $ rate $ duration $ clients $ mix $ steady $ process $ seed $ json
-      $ no_guards_arg $ no_symbolic_plan_arg $ fault_arg $ trace_arg
-      $ report_arg)
+      const run $ model_arg $ engine_config_term $ autotune_term $ rate $ duration
+      $ clients $ mix $ process $ seed $ json $ knobs_term)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -1165,61 +968,14 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --------------------------- lint --------------------------- *)
+(* ----------------------- lint and classify ----------------------- *)
 
-(** The example programs' IR modules, replicated here so [lint all] covers
-    the same programs the [examples/] executables (and [dune runtest])
-    run: the quickstart dense/bias_add/tanh chain, the detection
-    post-processing nms/strided_slice/sqrt pipeline, and the
-    data-dependent [arange]. *)
-let example_modules () : (string * Nimble_ir.Irmod.t) list =
-  let open Nimble_ir in
-  let rng = Rng.create ~seed:42 in
-  let quickstart =
-    let x = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static 16 ]) "x" in
-    let w = Tensor.randn ~scale:0.2 rng [| 8; 16 |] in
-    let b = Tensor.randn ~scale:0.2 rng [| 8 |] in
-    Irmod.of_main
-      (Expr.fn_def [ x ]
-         (Expr.op_call "tanh"
-            [
-              Expr.op_call "bias_add"
-                [ Expr.op_call "dense" [ Expr.Var x; Expr.Const w ]; Expr.Const b ];
-            ]))
-  in
-  let detection =
-    let boxes = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static 5 ]) "boxes" in
-    let kept = Expr.fresh_var "kept" in
-    let scores = Expr.fresh_var "scores" in
-    Irmod.of_main
-      (Expr.fn_def [ boxes ]
-         (Expr.Let
-            ( kept,
-              Expr.op_call ~attrs:[ ("iou", Attrs.Float 0.45) ] "nms"
-                [ Expr.Var boxes ],
-              Expr.Let
-                ( scores,
-                  Expr.op_call
-                    ~attrs:
-                      [
-                        ("begins", Attrs.Ints [ 0; 0 ]);
-                        ("ends", Attrs.Ints [ 1000000; 1 ]);
-                      ]
-                    "strided_slice" [ Expr.Var kept ],
-                  Expr.op_call "sqrt" [ Expr.Var scores ] ) )))
-  in
-  let arange =
-    let s = Expr.fresh_var ~ty:(Ty.scalar ()) "stop" in
-    Irmod.of_main
-      (Expr.fn_def [ s ]
-         (Expr.op_call "arange"
-            [ Expr.const_scalar 0.0; Expr.Var s; Expr.const_scalar 1.0 ]))
-  in
-  [
-    ("ex:quickstart", quickstart);
-    ("ex:detection", detection);
-    ("ex:arange", arange);
-  ]
+(** The modules a [lint] or [classify] target names: every zoo model and
+    example module for [all], or one zoo model; [None] for anything
+    else. *)
+let target_modules target =
+  if target = "all" then Some (Zoo.all_modules ())
+  else Option.map (fun (m : Zoo.model) -> [ (m.name, m.build ()) ]) (Zoo.find target)
 
 let lint_cmd =
   let target =
@@ -1239,7 +995,7 @@ let lint_cmd =
     in
     (* compile and report every violation the pipeline checks found
        (dialect lints + bytecode verifier) *)
-    let lint_module name m =
+    let lint_module (name, m) =
       let _exe, report = Nimble.compile_with_report m in
       match report.Nimble.verify_diags with
       | [] ->
@@ -1258,16 +1014,11 @@ let lint_cmd =
           incr failures;
           Fmt.pr "%-14s undecodable: %s@." path msg
     in
-    (if target = "all" then begin
-       List.iter (fun (n, e) -> lint_module n (e.build ())) (zoo ());
-       List.iter (fun (n, m) -> lint_module n m) (example_modules ())
-     end
-     else if List.mem_assoc target (zoo ()) then
-       lint_module target ((lookup target).build ())
-     else if Sys.file_exists target then lint_file target
-     else
-       die "unknown lint target %s (expected a zoo model, 'all', or a file)"
-         target);
+    (match target_modules target with
+    | Some ms -> List.iter lint_module ms
+    | None when Sys.file_exists target -> lint_file target
+    | None ->
+        die "unknown lint target %s (expected a zoo model, 'all', or a file)" target);
     if !failures > 0 then exit 1
   in
   Cmd.v
@@ -1289,17 +1040,13 @@ let classify_cmd =
              programs)")
   in
   let run target =
-    let classify_module name m =
+    let classify_module (name, m) =
       let _exe, report = Nimble.compile_with_report m in
       Fmt.pr "== %s@.%a@." name Nimble.pp_classify report
     in
-    if target = "all" then begin
-      List.iter (fun (n, e) -> classify_module n (e.build ())) (zoo ());
-      List.iter (fun (n, m) -> classify_module n m) (example_modules ())
-    end
-    else if List.mem_assoc target (zoo ()) then
-      classify_module target ((lookup target).build ())
-    else die "unknown classify target %s (expected a zoo model or 'all')" target
+    match target_modules target with
+    | Some ms -> List.iter classify_module ms
+    | None -> die "unknown classify target %s (expected a zoo model or 'all')" target
   in
   Cmd.v
     (Cmd.info "classify"

@@ -13,16 +13,7 @@ open Nimble_models
 module Nimble = Nimble_compiler.Nimble
 module Interp = Nimble_vm.Interp
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
-
-let list_obj xs =
-  let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-  let adt = Adt.tensor_list ~elem_ty in
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  List.fold_right
-    (fun x acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor x; acc |] })
-    xs
-    (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
+module Zoo = Nimble_workloads.Zoo
 
 let () =
   let config = { Lstm.input_size = 64; hidden_size = 96; num_layers = 2 } in
@@ -38,7 +29,7 @@ let () =
     (fun len ->
       let xs = Lstm.random_sequence config ~len in
       let t0 = Unix.gettimeofday () in
-      let out = Obj.to_tensor (Interp.invoke vm [ list_obj xs ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
       let vm_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
       (* reference + eager baseline agree with the VM *)
       let reference = Lstm.reference w xs in

@@ -13,13 +13,7 @@ open Nimble_tensor
 open Nimble_models
 module Nimble = Nimble_compiler.Nimble
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
-
-let rec tree_obj (leaf : Adt.ctor) (node : Adt.ctor) = function
-  | Tree_lstm.Leaf x -> Obj.Adt { tag = leaf.Adt.tag; fields = [| Obj.tensor x |] }
-  | Tree_lstm.Node (l, r) ->
-      Obj.Adt
-        { tag = node.Adt.tag; fields = [| tree_obj leaf node l; tree_obj leaf node r |] }
+module Zoo = Nimble_workloads.Zoo
 
 let rec depth = function
   | Tree_lstm.Leaf _ -> 1
@@ -28,7 +22,6 @@ let rec depth = function
 let () =
   let config = { Tree_lstm.input_size = 48; hidden_size = 64; num_classes = 5 } in
   let w = Tree_lstm.init_weights config in
-  let leaf, node = Tree_lstm.ctors w in
   let exe = Nimble.compile (Tree_lstm.ir_module w) in
   let vm = Nimble.vm exe in
   Fmt.pr "Tree-LSTM sentiment (5 classes), hidden %d — one executable, any tree@."
@@ -37,7 +30,7 @@ let () =
   List.iteri
     (fun i t ->
       let probs =
-        Obj.to_tensor (Nimble_vm.Interp.invoke vm [ tree_obj leaf node t ])
+        Obj.to_tensor (Nimble_vm.Interp.invoke vm [ Zoo.tensor_tree t ])
       in
       (* the Fold-style dynamically-batched execution matches exactly *)
       let folded = Nimble_baselines.Fold.tree_lstm w t in

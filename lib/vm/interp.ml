@@ -76,9 +76,6 @@ type t = {
   mutable trace : Trace.t option;
       (** event recorder; when set, the dispatch loop emits spans for every
           instruction, kernel, shape function, allocation and device copy *)
-  guards_on : bool;
-      (** run the compiler-emitted gradual-typing entry guards (paper §4.1)
-          on depth-0 invocations *)
   max_pool_bytes : int option;
       (** byte cap on pooled storage retained across invocations; exceeding
           it is an [Alloc] failure rather than an abort *)
@@ -87,8 +84,7 @@ type t = {
 
 exception Preempted
 
-let create ?(max_depth = 100_000) ?(pooling = true) ?(guards = true)
-    ?max_pool_bytes exe =
+let create ?(max_depth = 100_000) ?(pooling = true) ?max_pool_bytes exe =
   if not (Exe.linked exe) then err "executable has unlinked packed functions";
   {
     exe;
@@ -99,7 +95,6 @@ let create ?(max_depth = 100_000) ?(pooling = true) ?(guards = true)
     plan_arenas = Hashtbl.create 4;
     on_instruction = None;
     trace = None;
-    guards_on = guards;
     max_pool_bytes;
     pool_bytes = 0;
   }
@@ -315,7 +310,7 @@ let rec exec_func (vm : t) ?ctx ~depth (fi : int) (args : Obj.t array) : Obj.t =
   if Array.length args <> f.Exe.arity then
     err "fn %s: expected %d arguments, got %d" f.Exe.name f.Exe.arity
       (Array.length args);
-  (if depth = 0 && vm.guards_on then
+  (if depth = 0 then
      let gs = vm.exe.Exe.guards in
      if fi < Array.length gs && Array.length gs.(fi) > 0 then
        check_guards f gs.(fi) args);

@@ -49,15 +49,12 @@ exception Preempted
     @param pooling reuse already-allocated storage chunks across top-level
     invocations — the runtime half of memory planning (default true).
     Result tensors are copied out of the pool at the API boundary.
-    @param guards run the compiler-emitted gradual-typing entry guards on
-    depth-0 invocations (default true; see [docs/ROBUSTNESS.md]).
     @param max_pool_bytes cap on storage bytes retained in the pool across
     invocations; an allocation that would exceed it fails with an [Alloc]
     {!failure} instead of growing the pool (default: unlimited).
     @raise Vm_error if the executable has unlinked packed functions. *)
 val create :
-  ?max_depth:int -> ?pooling:bool -> ?guards:bool -> ?max_pool_bytes:int ->
-  Exe.t -> t
+  ?max_depth:int -> ?pooling:bool -> ?max_pool_bytes:int -> Exe.t -> t
 
 (** Install (or clear, with [None]) the QoS preemption hook (paper §5.3).
 

@@ -12,6 +12,7 @@ module Nimble = Nimble_compiler.Nimble
 module Diag = Nimble_analysis.Diag
 module Verifier = Nimble_analysis.Verifier
 module Lint = Nimble_analysis.Lint
+module Zoo = Nimble_workloads.Zoo
 
 (* ------------------------------------------------------------------ *)
 (* Opcode-exhaustiveness pin                                           *)
@@ -267,58 +268,6 @@ let test_rejects_bad_guard_argument () =
 (* Pipeline invariant: everything the compiler emits verifies clean    *)
 (* ------------------------------------------------------------------ *)
 
-let example_modules () : (string * Irmod.t) list =
-  (* the same three modules the CLI's `lint all` covers (examples/) *)
-  let rng = Rng.create ~seed:42 in
-  let quickstart =
-    let x = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static 16 ]) "x" in
-    let w = Tensor.randn ~scale:0.2 rng [| 8; 16 |] in
-    let b = Tensor.randn ~scale:0.2 rng [| 8 |] in
-    Irmod.of_main
-      (Expr.fn_def [ x ]
-         (Expr.op_call "tanh"
-            [
-              Expr.op_call "bias_add"
-                [ Expr.op_call "dense" [ Expr.Var x; Expr.Const w ]; Expr.Const b ];
-            ]))
-  in
-  let detection =
-    let boxes = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static 5 ]) "boxes" in
-    let kept = Expr.fresh_var "kept" in
-    let scores = Expr.fresh_var "scores" in
-    Irmod.of_main
-      (Expr.fn_def [ boxes ]
-         (Expr.Let
-            ( kept,
-              Expr.op_call ~attrs:[ ("iou", Attrs.Float 0.45) ] "nms" [ Expr.Var boxes ],
-              Expr.Let
-                ( scores,
-                  Expr.op_call
-                    ~attrs:[ ("begins", Attrs.Ints [ 0; 0 ]); ("ends", Attrs.Ints [ 1000000; 1 ]) ]
-                    "strided_slice" [ Expr.Var kept ],
-                  Expr.op_call "sqrt" [ Expr.Var scores ] ) )))
-  in
-  let arange =
-    let s = Expr.fresh_var ~ty:(Ty.scalar ()) "stop" in
-    Irmod.of_main
-      (Expr.fn_def [ s ]
-         (Expr.op_call "arange"
-            [ Expr.const_scalar 0.0; Expr.Var s; Expr.const_scalar 1.0 ]))
-  in
-  [ ("ex:quickstart", quickstart); ("ex:detection", detection); ("ex:arange", arange) ]
-
-let zoo_modules () : (string * Irmod.t) list =
-  let open Nimble_models in
-  [
-    ("lstm", Lstm.ir_module (Lstm.init_weights Lstm.small_config));
-    ("gru", Gru.ir_module (Gru.init_weights Gru.small_config));
-    ("treelstm", Tree_lstm.ir_module (Tree_lstm.init_weights Tree_lstm.small_config));
-    ("bert", Bert.ir_module (Bert.init_weights Bert.small_config));
-    ("decoder", Decoder.ir_module (Decoder.init_weights Decoder.default_config));
-    ("seq2seq", Seq2seq.ir_module (Seq2seq.init_weights Seq2seq.default_config));
-  ]
-  @ List.map (fun (n, build) -> (n, build ())) Vision.all
-
 let assert_clean name options m =
   let exe, report = Nimble.compile_with_report ~options m in
   Alcotest.(check bool)
@@ -338,12 +287,14 @@ let assert_clean name options m =
     (List.map Diag.to_string (Verifier.verify exe))
 
 let test_pipeline_clean_zoo () =
-  List.iter (fun (n, m) -> assert_clean n Nimble.default_options m) (zoo_modules ())
+  List.iter
+    (fun (m : Zoo.model) -> assert_clean m.name Nimble.default_options (m.build ()))
+    Zoo.models
 
 let test_pipeline_clean_examples () =
   List.iter
     (fun (n, m) -> assert_clean n Nimble.default_options m)
-    (example_modules ())
+    (Zoo.example_modules ())
 
 let test_pipeline_clean_gpu () =
   (* heterogeneous placement inserts device copies; the device lint and the
@@ -549,7 +500,7 @@ let classify bytes =
         (Printexc.to_string e)
 
 let test_byte_flips_never_crash () =
-  let exe = Nimble.compile (snd (List.hd (example_modules ()))) in
+  let exe = Nimble.compile (snd (List.hd (Zoo.example_modules ()))) in
   let bytes = Serialize.to_bytes exe in
   let len = String.length bytes in
   let rejected = ref 0 in
@@ -564,7 +515,7 @@ let test_byte_flips_never_crash () =
   Alcotest.(check bool) "some flips detected" true (!rejected > 0)
 
 let test_truncations_never_crash () =
-  let exe = Nimble.compile (snd (List.hd (example_modules ()))) in
+  let exe = Nimble.compile (snd (List.hd (Zoo.example_modules ()))) in
   let bytes = Serialize.to_bytes exe in
   let len = String.length bytes in
   for k = 0 to 40 do
@@ -588,7 +539,7 @@ let test_zoo_plans_tiled () =
     List.concat_map
       (fun (n, m) ->
         List.map (fun p -> (n, p.Exe.p_arena)) (Array.to_list (Nimble.compile m).Exe.plans))
-      (zoo_modules () @ example_modules ())
+      (Zoo.all_modules ())
   in
   Alcotest.(check bool) "the zoo emits symbolic plans" true (plans <> []);
   List.iter
@@ -695,7 +646,7 @@ let test_untiled_plan_rejected () =
 (* A plan whose alignment is 0 decodes, but must be rejected at load with
    a typed error rather than reach the interpreter's evaluation. *)
 let test_align_zero_rejected_on_load () =
-  let exe = Nimble.compile (snd (List.hd (example_modules ()))) in
+  let exe = Nimble.compile (snd (List.hd (Zoo.example_modules ()))) in
   Exe.set_plans exe
     [| { Exe.p_func = 0; p_arena = plan [ (Sx.const 0, Sx.Align (s0 4, 0)) ] (s0 4) } |];
   match classify (Serialize.to_bytes exe) with

@@ -76,15 +76,7 @@ let test_padded_rejects_overflow () =
 let tree_w = Tree_lstm.init_weights Tree_lstm.small_config
 
 let make_tree seed tokens =
-  let rng = Rng.create ~seed in
-  let rec build n =
-    if n <= 1 then
-      Tree_lstm.Leaf (Tensor.randn ~scale:0.5 rng [| 1; Tree_lstm.small_config.Tree_lstm.input_size |])
-    else
-      let left = 1 + Rng.int rng (n - 1) in
-      Tree_lstm.Node (build left, build (n - left))
-  in
-  build tokens
+  Nimble_workloads.Sst.sample_tree (Rng.create ~seed) Tree_lstm.small_config ~tokens
 
 let test_eager_tree_lstm () =
   let t = make_tree 4 9 in

@@ -91,7 +91,6 @@ let list_sum_module () =
   let list_adt = Adt.tensor_list ~elem_ty in
   let nil = Adt.ctor_exn list_adt "Nil" in
   let cons = Adt.ctor_exn list_adt "Cons" in
-  ignore nil;
   let xs = Expr.fresh_var ~ty:(Ty.Adt "TensorList") "xs" in
   let acc = Expr.fresh_var ~ty:elem_ty "acc" in
   let hd = Expr.fresh_var ~ty:elem_ty "hd" in
@@ -117,26 +116,12 @@ let list_sum_module () =
     (Expr.fn_def [ xs0 ]
        (Expr.call (Expr.Global "sum_list")
           [ Expr.Var xs0; Expr.Const (Tensor.zeros [| 3 |]) ]));
-  (m, nil, cons)
-
-let obj_list_of_tensors cons_tag ts =
-  List.fold_right
-    (fun t acc -> Obj.Adt { tag = cons_tag; fields = [| Obj.tensor t; acc |] })
-    ts
-    (Obj.Adt { tag = 0 (* Nil is first ctor *); fields = [||] })
+  m
 
 let test_adt_recursion () =
-  let m, nil, cons = list_sum_module () in
-  let exe = Nimble.compile m in
-  let vm = Nimble.vm exe in
+  let vm = Nimble.vm (Nimble.compile (list_sum_module ())) in
   let ts = List.init 5 (fun _ -> Tensor.randn rng [| 3 |]) in
-  let input =
-    List.fold_right
-      (fun t acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor t; acc |] })
-      ts
-      (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
-  in
-  let out = Obj.to_tensor (Interp.invoke vm [ input ]) in
+  let out = Obj.to_tensor (Interp.invoke vm [ Nimble_workloads.Zoo.tensor_list ts ]) in
   let expected = List.fold_left Ops_elem.add (Tensor.zeros [| 3 |]) ts in
   Alcotest.check tensor_eq "list sum" expected out
 
@@ -213,7 +198,6 @@ let test_closure () =
     (Interp.run_tensors vm [ xv ])
 
 let () =
-  ignore obj_list_of_tensors;
   Alcotest.run "compiler"
     [
       ( "end-to-end",

@@ -5,7 +5,7 @@ open Nimble_models
 module Nimble = Nimble_compiler.Nimble
 module Interp = Nimble_vm.Interp
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
+module Zoo = Nimble_workloads.Zoo
 
 let tensor_eq = Alcotest.testable Tensor.pp (Tensor.approx_equal ~atol:1e-3 ~rtol:1e-3)
 
@@ -64,15 +64,6 @@ let test_decoder_rows_are_distributions () =
 
 (* ---------------------------- GRU ---------------------------- *)
 
-let list_obj xs =
-  let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-  let adt = Adt.tensor_list ~elem_ty in
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  List.fold_right
-    (fun x acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor x; acc |] })
-    xs
-    (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
-
 let test_gru_matches_reference () =
   let w = Gru.init_weights Gru.small_config in
   let exe = Nimble.compile (Gru.ir_module w) in
@@ -80,7 +71,7 @@ let test_gru_matches_reference () =
   List.iter
     (fun len ->
       let xs = Gru.random_sequence w.Gru.config ~len in
-      let out = Obj.to_tensor (Interp.invoke vm [ list_obj xs ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
       Alcotest.check tensor_eq (Fmt.str "len=%d" len) (Gru.reference w xs) out)
     [ 1; 3; 8; 14 ]
 
@@ -89,7 +80,7 @@ let test_gru_empty_sequence () =
   let w = Gru.init_weights Gru.small_config in
   let exe = Nimble.compile (Gru.ir_module w) in
   let vm = Nimble.vm exe in
-  let out = Obj.to_tensor (Interp.invoke vm [ list_obj [] ]) in
+  let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list [] ]) in
   Alcotest.check tensor_eq "zeros"
     (Tensor.zeros [| 1; w.Gru.config.Gru.hidden_size |])
     out
@@ -101,7 +92,7 @@ let prop_gru_any_length =
       let exe = Nimble.compile (Gru.ir_module w) in
       let vm = Nimble.vm exe in
       let xs = Gru.random_sequence w.Gru.config ~len in
-      let out = Obj.to_tensor (Interp.invoke vm [ list_obj xs ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
       Tensor.approx_equal ~atol:1e-3 ~rtol:1e-3 (Gru.reference w xs) out)
 
 (* ---------------------------- Seq2Seq ---------------------------- *)
@@ -113,7 +104,7 @@ let test_seq2seq_matches_reference () =
   List.iter
     (fun len ->
       let xs = Seq2seq.random_sequence w.Seq2seq.config ~len in
-      let out = Obj.to_tensor (Interp.invoke vm [ list_obj xs ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
       Alcotest.check tensor_eq (Fmt.str "len=%d" len) (Seq2seq.reference w xs) out)
     [ 1; 4; 9 ]
 
@@ -127,7 +118,7 @@ let test_seq2seq_both_directions_dynamic () =
     List.map
       (fun len ->
         let xs = Seq2seq.random_sequence w.Seq2seq.config ~len in
-        (Tensor.shape (Obj.to_tensor (Interp.invoke vm [ list_obj xs ]))).(0))
+        (Tensor.shape (Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]))).(0))
       [ 2; 5; 8; 11; 14 ]
   in
   List.iter

@@ -140,20 +140,11 @@ let test_lstm_recursion_safe_with_pooling () =
   let w = Nimble_models.Lstm.init_weights Nimble_models.Lstm.small_config in
   let exe = Nimble.compile (Nimble_models.Lstm.ir_module w) in
   let vm = Interp.create ~pooling:true exe in
-  let elem_ty = Ty.tensor [ Dim.static 1; Dim.Any ] in
-  let adt = Adt.tensor_list ~elem_ty in
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  let input xs =
-    List.fold_right
-      (fun x acc ->
-        Nimble_vm.Obj.Adt { tag = cons.Adt.tag; fields = [| Nimble_vm.Obj.tensor x; acc |] })
-      xs
-      (Nimble_vm.Obj.Adt { tag = nil.Adt.tag; fields = [||] })
-  in
   List.iter
     (fun len ->
       let xs = Nimble_models.Lstm.random_sequence w.Nimble_models.Lstm.config ~len in
-      let out = Nimble_vm.Obj.to_tensor (Interp.invoke vm [ input xs ]) in
+      let input = Nimble_workloads.Zoo.tensor_list xs in
+      let out = Nimble_vm.Obj.to_tensor (Interp.invoke vm [ input ]) in
       Alcotest.check tensor_eq
         (Fmt.str "len %d" len)
         (Nimble_models.Lstm.reference w xs)

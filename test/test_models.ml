@@ -6,21 +6,11 @@ open Nimble_models
 module Nimble = Nimble_compiler.Nimble
 module Interp = Nimble_vm.Interp
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
+module Zoo = Nimble_workloads.Zoo
 
 let tensor_eq = Alcotest.testable Tensor.pp (Tensor.approx_equal ~atol:1e-3 ~rtol:1e-3)
 
 (* ------------------------- LSTM ------------------------- *)
-
-let lstm_input_obj (w : Lstm.weights) xs =
-  let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-  let adt = Adt.tensor_list ~elem_ty in
-  ignore w;
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  List.fold_right
-    (fun x acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor x; acc |] })
-    xs
-    (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
 
 let test_lstm_matches_reference () =
   let w = Lstm.init_weights Lstm.small_config in
@@ -29,7 +19,7 @@ let test_lstm_matches_reference () =
   List.iter
     (fun len ->
       let xs = Lstm.random_sequence w.Lstm.config ~len in
-      let out = Obj.to_tensor (Interp.invoke vm [ lstm_input_obj w xs ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
       let expected = Lstm.reference w xs in
       Alcotest.check tensor_eq (Fmt.str "len=%d" len) expected out)
     [ 1; 2; 5; 9 ]
@@ -39,7 +29,7 @@ let test_lstm_two_layers () =
   let exe = Nimble.compile (Lstm.ir_module w) in
   let vm = Nimble.vm exe in
   let xs = Lstm.random_sequence w.Lstm.config ~len:6 in
-  let out = Obj.to_tensor (Interp.invoke vm [ lstm_input_obj w xs ]) in
+  let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
   Alcotest.check tensor_eq "2-layer" (Lstm.reference w xs) out
 
 let test_lstm_one_executable_many_lengths () =
@@ -50,7 +40,7 @@ let test_lstm_one_executable_many_lengths () =
   List.iter
     (fun len ->
       let xs = Lstm.random_sequence w.Lstm.config ~len in
-      let out = Obj.to_tensor (Interp.invoke vm [ lstm_input_obj w xs ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
       Alcotest.(check (array int))
         (Fmt.str "shape len=%d" len)
         [| 1; w.Lstm.config.Lstm.hidden_size |]
@@ -59,30 +49,17 @@ let test_lstm_one_executable_many_lengths () =
 
 (* ------------------------- Tree-LSTM ------------------------- *)
 
-let rec tree_obj (leaf : Adt.ctor) (node : Adt.ctor) = function
-  | Tree_lstm.Leaf x -> Obj.Adt { tag = leaf.Adt.tag; fields = [| Obj.tensor x |] }
-  | Tree_lstm.Node (l, r) ->
-      Obj.Adt
-        { tag = node.Adt.tag; fields = [| tree_obj leaf node l; tree_obj leaf node r |] }
-
-let random_tree (config : Tree_lstm.config) ~tokens ~seed =
-  let rng = Rng.create ~seed in
-  let leaf () = Tree_lstm.Leaf (Tensor.randn ~scale:0.5 rng [| 1; config.Tree_lstm.input_size |]) in
-  let rec build n = if n <= 1 then leaf () else
-    let left = 1 + Rng.int rng (n - 1) in
-    Tree_lstm.Node (build left, build (n - left))
-  in
-  build tokens
+let random_tree config ~tokens ~seed =
+  Nimble_workloads.Sst.sample_tree (Rng.create ~seed) config ~tokens
 
 let test_tree_lstm_matches_reference () =
   let w = Tree_lstm.init_weights Tree_lstm.small_config in
-  let leaf, node = Tree_lstm.ctors w in
   let exe = Nimble.compile (Tree_lstm.ir_module w) in
   let vm = Nimble.vm exe in
   List.iter
     (fun tokens ->
       let t = random_tree w.Tree_lstm.config ~tokens ~seed:(100 + tokens) in
-      let out = Obj.to_tensor (Interp.invoke vm [ tree_obj leaf node t ]) in
+      let out = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_tree t ]) in
       let expected = Tree_lstm.reference w t in
       Alcotest.check tensor_eq (Fmt.str "tokens=%d" tokens) expected out)
     [ 1; 2; 4; 7 ]

@@ -5,6 +5,7 @@
 open Nimble_tensor
 open Nimble_ir
 open Nimble_passes
+module Zoo = Nimble_workloads.Zoo
 
 let s = Dim.static
 let static_ty sh = Ty.tensor_of_shape (Shape.of_list sh)
@@ -203,15 +204,14 @@ let test_dce_nested_regions_one_run () =
 (* One sweep is the fixpoint: on every zoo model after the full pipeline
    (which ends in DCE), another run changes nothing. *)
 let test_dce_idempotent_on_zoo () =
-  let zoo = Zoo.models () in
-  Alcotest.(check int) "every zoo model" 11 (List.length zoo);
+  Alcotest.(check int) "every zoo model" 11 (List.length Zoo.models);
   List.iter
-    (fun (name, build) ->
-      let m, _ = Nimble_compiler.Nimble.optimize (build ()) in
+    (fun (z : Zoo.model) ->
+      let m, _ = Nimble_compiler.Nimble.optimize (z.build ()) in
       let before = Irmod.to_string m in
-      Alcotest.(check string) (name ^ ": second DCE is a no-op") before
+      Alcotest.(check string) (z.name ^ ": second DCE is a no-op") before
         (Irmod.to_string (Dce.run m)))
-    zoo
+    Zoo.models
 
 (* ---------------------------- fusion ---------------------------- *)
 

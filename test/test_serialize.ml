@@ -5,6 +5,7 @@ open Nimble_tensor
 open Nimble_ir
 open Nimble_vm
 module Nimble = Nimble_compiler.Nimble
+module Zoo = Nimble_workloads.Zoo
 
 let tensor_eq = Alcotest.testable Tensor.pp (Tensor.approx_equal ~atol:1e-6 ~rtol:1e-6)
 let rng = Rng.create ~seed:31
@@ -123,12 +124,13 @@ let test_compiled_module_roundtrip_and_run () =
    compile the zoo in order, then again in reverse order, and every model
    must serialize to the same bytes both times. *)
 let test_bytes_independent_of_compile_history () =
-  let zoo = Zoo.models () in
   let compile_all models =
-    List.map (fun (name, build) -> (name, Serialize.to_bytes (Nimble.compile (build ())))) models
+    List.map
+      (fun (m : Zoo.model) -> (m.name, Serialize.to_bytes (Nimble.compile (m.build ()))))
+      models
   in
-  let forward = compile_all zoo in
-  let reverse = compile_all (List.rev zoo) in
+  let forward = compile_all Zoo.models in
+  let reverse = compile_all (List.rev Zoo.models) in
   Alcotest.(check int) "every zoo model compiled" 11 (List.length forward);
   List.iter
     (fun (name, bytes) ->
@@ -158,12 +160,13 @@ let zoo_golden =
   ]
 
 let test_zoo_bytes_pinned () =
-  let zoo = Zoo.models () in
-  Alcotest.(check (list string)) "pinned models" (List.map fst zoo)
+  Alcotest.(check (list string)) "pinned models"
+    (List.map (fun (m : Zoo.model) -> m.name) Zoo.models)
     (List.map (fun (name, _, _) -> name) zoo_golden);
   List.iter
     (fun (name, len, md5) ->
-      let bytes = Serialize.to_bytes (Nimble.compile ((List.assoc name zoo) ())) in
+      let m = Option.get (Zoo.find name) in
+      let bytes = Serialize.to_bytes (Nimble.compile (m.build ())) in
       Alcotest.(check (pair int string))
         (name ^ ": length and MD5") (len, md5)
         (String.length bytes, Digest.to_hex (Digest.string bytes)))

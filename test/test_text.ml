@@ -76,20 +76,12 @@ def @main(%xs: TensorList) {
 }
 |}
   in
-  let m = T.parse_module src in
-  let adt = Irmod.adt_exn m "TensorList" in
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  let vm = Nimble.vm (Nimble.compile m) in
+  let vm = Nimble.vm (Nimble.compile (T.parse_module src)) in
   let rng = Rng.create ~seed:17 in
   let ts = List.init 4 (fun _ -> Tensor.randn rng [| 2 |]) in
-  let input =
-    List.fold_right
-      (fun t acc ->
-        Nimble_vm.Obj.Adt { tag = cons.Adt.tag; fields = [| Nimble_vm.Obj.tensor t; acc |] })
-      ts
-      (Nimble_vm.Obj.Adt { tag = nil.Adt.tag; fields = [||] })
+  let out =
+    Nimble_vm.Obj.to_tensor (Interp.invoke vm [ Nimble_workloads.Zoo.tensor_list ts ])
   in
-  let out = Nimble_vm.Obj.to_tensor (Interp.invoke vm [ input ]) in
   let expected = List.fold_left Ops_elem.add (Tensor.zeros [| 2 |]) ts in
   Alcotest.check tensor_eq "sum" expected out
 

@@ -9,7 +9,7 @@ module Profiler = Nimble_vm.Profiler
 module Trace = Nimble_vm.Trace
 module Json = Nimble_vm.Json
 module Obj = Nimble_vm.Obj
-module Adt = Nimble_ir.Adt
+module Zoo = Nimble_workloads.Zoo
 
 (* ------------------------------ JSON ------------------------------ *)
 
@@ -93,15 +93,6 @@ let test_export_schema () =
 
 (* --------------------------- LSTM run --------------------------- *)
 
-let lstm_input_obj xs =
-  let elem_ty = Nimble_ir.Ty.tensor [ Nimble_ir.Dim.static 1; Nimble_ir.Dim.Any ] in
-  let adt = Adt.tensor_list ~elem_ty in
-  let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
-  List.fold_right
-    (fun x acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor x; acc |] })
-    xs
-    (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
-
 let traced_lstm_run ~seq =
   let w = Lstm.init_weights Lstm.small_config in
   let exe, creport = Nimble.compile_with_report (Lstm.ir_module w) in
@@ -109,7 +100,7 @@ let traced_lstm_run ~seq =
   let tr = Trace.create () in
   Interp.set_trace vm (Some tr);
   let xs = Lstm.random_sequence w.Lstm.config ~len:seq in
-  ignore (Interp.invoke vm [ lstm_input_obj xs ]);
+  ignore (Interp.invoke vm [ Zoo.tensor_list xs ]);
   (vm, tr, creport)
 
 let test_kernel_spans_match_profiler () =
@@ -129,9 +120,9 @@ let test_tracing_preserves_results () =
   let exe = Nimble.compile (Lstm.ir_module w) in
   let vm = Nimble.vm exe in
   let xs = Lstm.random_sequence w.Lstm.config ~len:5 in
-  let plain = Obj.to_tensor (Interp.invoke vm [ lstm_input_obj xs ]) in
+  let plain = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
   Interp.set_trace vm (Some (Trace.create ()));
-  let traced = Obj.to_tensor (Interp.invoke vm [ lstm_input_obj xs ]) in
+  let traced = Obj.to_tensor (Interp.invoke vm [ Zoo.tensor_list xs ]) in
   Alcotest.(check bool) "same output with tracing on" true
     (Nimble_tensor.Tensor.approx_equal ~atol:0.0 ~rtol:0.0 plain traced)
 

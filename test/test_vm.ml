@@ -272,24 +272,25 @@ let expect_guard_failure vm args substrings =
             (contains fl.Interp.fail_msg s))
         substrings
 
-(* main(x) = x with x declared as a [3] f32 tensor *)
-let guarded_identity ~guards =
+(* main(x) = x; with [guarded], x is declared as a [3] f32 tensor *)
+let identity ~guarded =
   let exe = assemble ~arity:1 ~regs:1 [| Isa.Ret { result = 0 } |] in
-  Exe.set_guards exe
-    [|
+  if guarded then
+    Exe.set_guards exe
       [|
-        {
-          Exe.g_arg = 0;
-          g_name = "x";
-          g_dims = [| Exe.Check_exact 3 |];
-          g_dtype = Some Dtype.F32;
-        };
+        [|
+          {
+            Exe.g_arg = 0;
+            g_name = "x";
+            g_dims = [| Exe.Check_exact 3 |];
+            g_dtype = Some Dtype.F32;
+          };
+        |];
       |];
-    |];
-  Interp.create ~guards exe
+  Interp.create exe
 
 let test_guard_exact_dim () =
-  let vm = guarded_identity ~guards:true in
+  let vm = identity ~guarded:true in
   (match Interp.invoke_result vm [ Obj.tensor (Tensor.ones [| 3 |]) ] with
   | Ok _ -> ()
   | Error fl -> Alcotest.failf "well-typed call failed: %a" Interp.pp_failure fl);
@@ -301,15 +302,16 @@ let test_guard_exact_dim () =
     [ "argument 0 (x)"; "rank 2 where 1 was declared" ]
 
 let test_guard_dtype () =
-  let vm = guarded_identity ~guards:true in
+  let vm = identity ~guarded:true in
   expect_guard_failure vm
     [ Obj.tensor (Tensor.of_int_array ~dtype:Dtype.I64 [| 3 |] [| 1; 2; 3 |]) ]
     [ "argument 0 (x)"; "dtype" ]
 
 let test_guard_disabled () =
-  (* the same ill-typed calls pass when guards are compiled out of the
-     interpreter: identity never inspects the tensor *)
-  let vm = guarded_identity ~guards:false in
+  (* the same ill-typed calls pass against an executable that carries no
+     guard table (what compiling with [runtime_guards = false] emits):
+     identity never inspects the tensor *)
+  let vm = identity ~guarded:false in
   List.iter
     (fun x ->
       match Interp.invoke_result vm [ x ] with

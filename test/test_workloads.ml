@@ -104,6 +104,29 @@ let prop_tree_tokens_exact =
       let t = Sst.sample_tree rng Nimble_models.Tree_lstm.small_config ~tokens in
       Nimble_models.Tree_lstm.num_tokens t = tokens)
 
+(* ------------------------------ model zoo ------------------------------ *)
+
+module Interp = Nimble_vm.Interp
+
+let tensor_bitwise = Alcotest.testable Tensor.pp Tensor.equal
+
+(* A zoo model runs its sample input through its compiled executable, and
+   a second input made for the same [seq] gives bitwise the same output on
+   the warm VM. The vision models ignore [seq]: one is enough. *)
+let test_sample_input (m : Zoo.model) () =
+  let vm = Nimble_compiler.Nimble.(vm (compile (m.build ()))) in
+  let run seq =
+    match Interp.invoke_result vm [ m.sample_input ~seq ] with
+    | Ok out -> Nimble_vm.Obj.to_tensor out
+    | Error fl -> Alcotest.failf "seq=%d: %a" seq Interp.pp_failure fl
+  in
+  let vision = List.mem_assoc m.name Nimble_models.Vision.all in
+  List.iter
+    (fun seq ->
+      Alcotest.check tensor_bitwise (Fmt.str "seq=%d: bitwise-equal reruns" seq) (run seq)
+        (run seq))
+    (if vision then [ 12 ] else [ 3; 12 ])
+
 let () =
   Alcotest.run "workloads"
     [
@@ -125,4 +148,8 @@ let () =
           Alcotest.test_case "binary structure" `Quick test_sst_tree_binary_structure;
           QCheck_alcotest.to_alcotest prop_tree_tokens_exact;
         ] );
+      ( "zoo sample inputs",
+        List.map
+          (fun (m : Zoo.model) -> Alcotest.test_case m.name `Quick (test_sample_input m))
+          Zoo.models );
     ]
