@@ -116,6 +116,7 @@ type cell = {
 type request = {
   input : Obj.t;
   bucket : string;
+  bucket_dims : int array;  (** the bucket's upper-bound shape, {!Bucket.key} *)
   submit_s : float;  (** Unix time at submission *)
   deadline_s : float option;
   cell : cell;
@@ -340,35 +341,24 @@ let worker_main t worker_id () =
       t.cfg.warm_hints
   in
   warm_from_hints (fst !state);
-  (* the bucket key string ("8x64") is the bucket's upper-bound shape;
-     parse it back so the worker can warm its persistent plan arenas at
-     that bound before the batch runs *)
-  let bucket_dims key =
-    match
-      List.map int_of_string (String.split_on_char 'x' key)
-    with
-    | dims -> Some (Array.of_list dims)
-    | exception _ -> None
+  (* warm the persistent plan arenas at the bucket's upper-bound shape
+     before the batch runs *)
+  let warm_bucket vm r =
+    let ts_us = trace_now t in
+    let bound =
+      Interp.warm_arenas ~func:t.func vm (fun i ->
+          if i = 0 then Some r.bucket_dims else None)
+    in
+    if bound > 0 then
+      record_span t ~name:"serve.arena_bind" ~ts_us
+        ~dur_us:(trace_now t -. ts_us)
+        [
+          ("bucket", Trace.Str r.bucket);
+          ("worker", Trace.Int worker_id);
+          ("plans", Trace.Int bound);
+        ]
   in
-  let warm_bucket vm bucket =
-    match bucket_dims bucket with
-    | None -> ()
-    | Some dims ->
-        let ts_us = trace_now t in
-        let bound =
-          Interp.warm_arenas ~func:t.func vm (fun i ->
-              if i = 0 then Some dims else None)
-        in
-        if bound > 0 then
-          record_span t ~name:"serve.arena_bind" ~ts_us
-            ~dur_us:(trace_now t -. ts_us)
-            [
-              ("bucket", Trace.Str bucket);
-              ("worker", Trace.Int worker_id);
-              ("plans", Trace.Int bound);
-            ]
-  in
-  let run_batch bucket reqs =
+  let run_batch r reqs =
     Fault.check "worker_loop";
     let vm, ctx = !state in
     let ts_us = trace_now t in
@@ -377,7 +367,7 @@ let worker_main t worker_id () =
     let hits0 = prof.Nimble_vm.Profiler.pool_hits in
     let allocs0 = Nimble_vm.Profiler.allocs prof in
     let rebinds0 = prof.Nimble_vm.Profiler.arena_rebinds in
-    warm_bucket vm bucket;
+    warm_bucket vm r;
     List.iter (exec_request t vm ctx ~worker_id) reqs;
     (* one hotness observation per executed batch: cheap (an atomic
        increment), and every [scan_interval]-th call walks this
@@ -393,7 +383,7 @@ let worker_main t worker_id () =
       ~arena_reuses:(prof.Nimble_vm.Profiler.arena_rebinds - rebinds0);
     record_span t ~name:"serve.batch_exec" ~ts_us ~dur_us:(trace_now t -. ts_us)
       [
-        ("bucket", Trace.Str bucket);
+        ("bucket", Trace.Str r.bucket);
         ("size", Trace.Int (List.length reqs));
         ("worker", Trace.Int worker_id);
       ]
@@ -404,10 +394,10 @@ let worker_main t worker_id () =
      client blocked in [wait]. Answer whatever the dead run left unfilled,
      rebuild the interpreter (its pool may be mid-mutation), and keep
      consuming. *)
-  let supervise_batch bucket reqs =
+  let supervise_batch r reqs =
     try
-      if pin then Parallel.pinned_sequential (fun () -> run_batch bucket reqs)
-      else run_batch bucket reqs
+      if pin then Parallel.pinned_sequential (fun () -> run_batch r reqs)
+      else run_batch r reqs
     with e ->
       let msg =
         match e with
@@ -433,7 +423,7 @@ let worker_main t worker_id () =
     | None -> ()
     | Some [] -> loop ()
     | Some (r :: _ as reqs) ->
-        supervise_batch r.bucket reqs;
+        supervise_batch r reqs;
         loop ()
   in
   loop ()
@@ -527,6 +517,7 @@ let submit ?timeout_us t ~shape (input : Obj.t) : (ticket, error) result =
     {
       input;
       bucket = Bucket.key_string t.cfg.policy shape;
+      bucket_dims = Bucket.key t.cfg.policy shape;
       submit_s;
       deadline_s = Option.map (fun us -> submit_s +. (us /. 1e6)) timeout;
       cell = { cm = Mutex.create (); cc = Condition.create (); value = None };

@@ -1,11 +1,11 @@
 (** Elementwise operators with NumPy-style broadcasting.
 
-    Binary ops take a fast path when both operands are same-shape floats
-    (the overwhelmingly common case in the models we run) and fall back to a
-    generic broadcasting loop otherwise. The fast paths run over the
-    {!Nimble_parallel.Parallel} domain pool, chunked so each element is
-    written by exactly one domain (bitwise-identical to sequential);
-    small tensors stay under the grain and never synchronize. *)
+    A binary operator is one {!Strided.iter} loop with stride 0 on each
+    broadcast dim of an input; same-shape operands merge into one
+    contiguous run. A unary operator maps the buffer. Both run over the
+    {!Nimble_parallel.Parallel} domain pool, each element written by
+    exactly one domain (bitwise-identical to sequential); small tensors
+    stay under the grain and never synchronize. *)
 
 module Parallel = Nimble_parallel.Parallel
 
@@ -13,14 +13,9 @@ module Parallel = Nimble_parallel.Parallel
    the minimum chunk work. *)
 let elem_grain = Parallel.default_min_work
 
-let same_shape_floats a b =
-  match (a.Tensor.buf, b.Tensor.buf) with
-  | Tensor.Floats ba, Tensor.Floats bb
-    when Shape.equal (Tensor.shape a) (Tensor.shape b) ->
-      Some (ba, bb)
-  | _ -> None
-
-(** Apply [f] elementwise over the broadcast of [a] and [b]. *)
+(** Apply [f] elementwise over the broadcast of [a] and [b]. [f] sees
+    every element as a float; an integer output stores its result as
+    {!Tensor.set_float} does. *)
 let binop ?out_dtype name f a b =
   let out_shape =
     match Shape.broadcast (Tensor.shape a) (Tensor.shape b) with
@@ -35,25 +30,24 @@ let binop ?out_dtype name f a b =
     | None -> Dtype.promote (Tensor.dtype a) (Tensor.dtype b)
   in
   let out = Tensor.empty ~dtype:dt out_shape in
-  (match (same_shape_floats a b, out.Tensor.buf, out_dtype) with
-  | Some (ba, bb), Tensor.Floats bo, None ->
-      Parallel.parallel_for ~grain:elem_grain (Array.length bo) (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set bo i (f (Array.unsafe_get ba i) (Array.unsafe_get bb i))
-          done)
-  | _ ->
-      let n = Shape.numel out_shape in
+  let xa = Tensor.floats a and xb = Tensor.floats b in
+  (* an integer output is computed in floats, then stored *)
+  let res = if Dtype.is_float dt then Tensor.float_buf out else Array.make (Tensor.numel out) 0.0 in
+  let ops = Strided.broadcast out_shape [ Tensor.shape a; Tensor.shape b ] in
+  Strided.iter out_shape ops (fun o st n ->
+      let oo = o.(0) and oa = o.(1) and ob = o.(2) in
+      let so = st.(0) and sa = st.(1) and sb = st.(2) in
       for i = 0 to n - 1 do
-        let idx = Shape.unravel out_shape i in
-        let ia = Shape.broadcast_offset ~src:(Tensor.shape a) ~out:out_shape idx in
-        let ib = Shape.broadcast_offset ~src:(Tensor.shape b) ~out:out_shape idx in
-        Tensor.set_float out i (f (Tensor.get_float a ia) (Tensor.get_float b ib))
+        Array.unsafe_set res (oo + (i * so))
+          (f (Array.unsafe_get xa (oa + (i * sa))) (Array.unsafe_get xb (ob + (i * sb))))
       done);
+  (match out.Tensor.buf with
+  | Tensor.Ints bo -> Array.iteri (fun i v -> bo.(i) <- Tensor.clamp dt (int_of_float v)) res
+  | Tensor.Floats _ -> ());
   out
 
 (** Apply [f] elementwise. *)
-let unop ?out_dtype name f a =
-  ignore name;
+let unop ?out_dtype f a =
   let dt = match out_dtype with Some dt -> dt | None -> Tensor.dtype a in
   let out = Tensor.empty ~dtype:dt (Tensor.shape a) in
   (match (a.Tensor.buf, out.Tensor.buf) with
@@ -79,19 +73,19 @@ let maximum a b = binop "maximum" Float.max a b
 let minimum a b = binop "minimum" Float.min a b
 let pow a b = binop "power" Float.pow a b
 
-let neg a = unop "negative" Float.neg a
-let abs a = unop "abs" Float.abs a
-let exp a = unop "exp" Stdlib.exp a
-let log a = unop "log" Stdlib.log a
-let sqrt a = unop "sqrt" Stdlib.sqrt a
-let tanh a = unop "tanh" Stdlib.tanh a
-let sigmoid a = unop "sigmoid" (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x))) a
-let relu a = unop "relu" (fun x -> Float.max 0.0 x) a
+let neg a = unop Float.neg a
+let abs a = unop Float.abs a
+let exp a = unop Stdlib.exp a
+let log a = unop Stdlib.log a
+let sqrt a = unop Stdlib.sqrt a
+let tanh a = unop Stdlib.tanh a
+let sigmoid a = unop (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x))) a
+let relu a = unop (fun x -> Float.max 0.0 x) a
 
 (** Gaussian error linear unit (the tanh approximation used by BERT). *)
 let gelu a =
   let c = Stdlib.sqrt (2.0 /. Float.pi) in
-  unop "gelu"
+  unop
     (fun x -> 0.5 *. x *. (1.0 +. Stdlib.tanh (c *. (x +. (0.044715 *. x *. x *. x)))))
     a
 
@@ -108,12 +102,10 @@ let erf_approx x =
   in
   sign *. (1.0 -. (poly *. t *. Stdlib.exp (-.x *. x)))
 
-let erf a = unop "erf" erf_approx a
+let erf a = unop erf_approx a
 
-let scalar_op name f a (c : float) = unop name (fun x -> f x c) a
-
-let add_scalar a c = scalar_op "add_scalar" ( +. ) a c
-let mul_scalar a c = scalar_op "mul_scalar" ( *. ) a c
+let add_scalar a c = unop (fun x -> x +. c) a
+let mul_scalar a c = unop (fun x -> x *. c) a
 
 let bool_binop name f a b =
   binop ~out_dtype:Dtype.U8 name (fun x y -> if f x y then 1.0 else 0.0) a b
@@ -127,23 +119,25 @@ let greater_equal a b = bool_binop "greater_equal" ( >= ) a b
 
 let logical_and a b = bool_binop "logical_and" (fun x y -> x <> 0.0 && y <> 0.0) a b
 let logical_or a b = bool_binop "logical_or" (fun x y -> x <> 0.0 || y <> 0.0) a b
-let logical_not a = unop ~out_dtype:Dtype.U8 "logical_not" (fun x -> if x = 0.0 then 1.0 else 0.0) a
+let logical_not a = unop ~out_dtype:Dtype.U8 (fun x -> if x = 0.0 then 1.0 else 0.0) a
 
-(** [where cond a b] selects elementwise from [a] where [cond] is nonzero. *)
+(** [where cond a b] selects elementwise from [a] where [cond] is nonzero.
+    Integer elements are copied as integers. *)
 let where cond a b =
   let s1 = Shape.broadcast_exn (Tensor.shape cond) (Tensor.shape a) in
   let out_shape = Shape.broadcast_exn s1 (Tensor.shape b) in
   let dt = Dtype.promote (Tensor.dtype a) (Tensor.dtype b) in
   let out = Tensor.empty ~dtype:dt out_shape in
-  for i = 0 to Shape.numel out_shape - 1 do
-    let idx = Shape.unravel out_shape i in
-    let ic = Shape.broadcast_offset ~src:(Tensor.shape cond) ~out:out_shape idx in
-    let ia = Shape.broadcast_offset ~src:(Tensor.shape a) ~out:out_shape idx in
-    let ib = Shape.broadcast_offset ~src:(Tensor.shape b) ~out:out_shape idx in
-    let v =
-      if Tensor.get_float cond ic <> 0.0 then Tensor.get_float a ia
-      else Tensor.get_float b ib
-    in
-    Tensor.set_float out i v
-  done;
+  let ops = Strided.broadcast out_shape (List.map Tensor.shape [ cond; a; b ]) in
+  let xc = Tensor.floats cond in
+  let select bo ba bb =
+    Strided.iter out_shape ops (fun o st n ->
+        for i = 0 to n - 1 do
+          let at k = o.(k) + (i * st.(k)) in
+          bo.(at 0) <- (if xc.(at 1) <> 0.0 then ba.(at 2) else bb.(at 3))
+        done)
+  in
+  (match (out.Tensor.buf, a.Tensor.buf, b.Tensor.buf) with
+  | Tensor.Ints bo, Tensor.Ints ba, Tensor.Ints bb -> select bo ba bb
+  | _ -> select (Tensor.float_buf out) (Tensor.floats a) (Tensor.floats b));
   out

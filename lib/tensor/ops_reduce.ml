@@ -1,26 +1,38 @@
 (** Reductions over one axis or the whole tensor.
 
-    Single-axis reductions over float buffers are restructured so every
-    output element is accumulated by exactly one domain, in ascending
-    axis order — the same per-element order as the sequential sweep —
-    then partitioned over the {!Nimble_parallel.Parallel} pool. Results
+    A single-axis reduction is one {!Strided.iter} loop with the reduced
+    axis innermost and stride 0 in the output, so each output element is
+    accumulated by exactly one domain, in ascending axis order. Results
     are bitwise identical at any pool width. Whole-tensor reductions
     stay sequential: splitting one accumulator would reassociate
     floating-point addition. *)
 
-module Parallel = Nimble_parallel.Parallel
-
-let reduce_all name init f a =
-  ignore name;
+let reduce_all init f a =
   let acc = ref init in
   for i = 0 to Tensor.numel a - 1 do
     acc := f !acc (Tensor.get_float a i)
   done;
   Tensor.scalar ~dtype:(Tensor.dtype a) !acc
 
-(** Reduce along [axis]; [keepdims] keeps it as size 1. *)
-let reduce_axis name init f ?(keepdims = false) ~axis a =
-  ignore name;
+(* Run [body] over [a] with [axis] innermost. Operand 0 is a row-major
+   output of [a]'s shape without [axis], with stride 0 along it; operand
+   1 is [a]; operand 2's offset is the index along [axis]. *)
+let along ~axis a body =
+  let s = Tensor.shape a in
+  let st = Shape.strides s and kept = Shape.remove_axis s axis in
+  let last x v = Array.append x [| v |] in
+  Strided.iter (last kept s.(axis))
+    [|
+      (0, last (Shape.strides kept) 0);
+      (0, last (Shape.remove_axis st axis) st.(axis));
+      (0, last (Array.map (fun _ -> 0) kept) 1);
+    |]
+    body
+
+(** Reduce along [axis]; [keepdims] keeps it as size 1. An integer
+    tensor accumulates as floats and stores each partial result as
+    {!Tensor.set_float} does. *)
+let reduce_axis init f ?(keepdims = false) ~axis a =
   let s = Tensor.shape a in
   let axis = Shape.normalize_axis ~rank:(Shape.rank s) axis in
   let out_shape =
@@ -28,63 +40,35 @@ let reduce_axis name init f ?(keepdims = false) ~axis a =
     else Shape.remove_axis s axis
   in
   let out = Tensor.full ~dtype:(Tensor.dtype a) out_shape init in
-  (match (a.Tensor.buf, out.Tensor.buf) with
-  | Tensor.Floats src, Tensor.Floats dst ->
-      (* Each output element o = (outer, inner) reduces the [len] input
-         elements at [outer*len*inner_sz + inner + j*inner_sz], j
-         ascending — the same order the linear sweep below visits them
-         in, so this path is bitwise-identical to it. *)
-      let len = s.(axis) in
-      let inner_sz =
-        let p = ref 1 in
-        for j = axis + 1 to Shape.rank s - 1 do
-          p := !p * s.(j)
-        done;
-        !p
-      in
-      let grain =
-        Parallel.grain_for ~work_per_item:len ~min_work:Parallel.default_min_work
-      in
-      Parallel.parallel_for ~grain (Array.length dst) (fun lo hi ->
-          for o = lo to hi - 1 do
-            let outer = o / inner_sz and inner = o mod inner_sz in
-            let base = (outer * len * inner_sz) + inner in
-            let acc = ref init in
-            for j = 0 to len - 1 do
-              acc := f !acc (Array.unsafe_get src (base + (j * inner_sz)))
-            done;
-            Array.unsafe_set dst o !acc
-          done)
-  | _ ->
-      (* Offset in output for each input element: drop the axis coordinate. *)
-      let n = Tensor.numel a in
+  let src = Tensor.floats a in
+  let get, set =
+    match out.Tensor.buf with
+    | Tensor.Floats d -> (Array.unsafe_get d, Array.unsafe_set d)
+    | Tensor.Ints d ->
+        ( (fun k -> float_of_int (Array.unsafe_get d k)),
+          fun k v -> Array.unsafe_set d k (Tensor.clamp (Tensor.dtype a) (int_of_float v)) )
+  in
+  along ~axis a (fun o st n ->
       for i = 0 to n - 1 do
-        let idx = Shape.unravel s i in
-        let out_idx =
-          if keepdims then Array.mapi (fun j v -> if j = axis then 0 else v) idx
-          else
-            Array.init (Array.length idx - 1) (fun j ->
-                if j < axis then idx.(j) else idx.(j + 1))
-        in
-        let o = Shape.linear_index out_shape out_idx in
-        Tensor.set_float out o (f (Tensor.get_float out o) (Tensor.get_float a i))
+        let k = o.(0) + (i * st.(0)) in
+        set k (f (get k) (Array.unsafe_get src (o.(1) + (i * st.(1)))))
       done);
   out
 
 let sum ?axis ?(keepdims = false) a =
   match axis with
-  | None -> reduce_all "sum" 0.0 ( +. ) a
-  | Some axis -> reduce_axis "sum" 0.0 ( +. ) ~keepdims ~axis a
+  | None -> reduce_all 0.0 ( +. ) a
+  | Some axis -> reduce_axis 0.0 ( +. ) ~keepdims ~axis a
 
 let max ?axis ?(keepdims = false) a =
   match axis with
-  | None -> reduce_all "max" Float.neg_infinity Float.max a
-  | Some axis -> reduce_axis "max" Float.neg_infinity Float.max ~keepdims ~axis a
+  | None -> reduce_all Float.neg_infinity Float.max a
+  | Some axis -> reduce_axis Float.neg_infinity Float.max ~keepdims ~axis a
 
 let min ?axis ?(keepdims = false) a =
   match axis with
-  | None -> reduce_all "min" Float.infinity Float.min a
-  | Some axis -> reduce_axis "min" Float.infinity Float.min ~keepdims ~axis a
+  | None -> reduce_all Float.infinity Float.min a
+  | Some axis -> reduce_axis Float.infinity Float.min ~keepdims ~axis a
 
 let mean ?axis ?(keepdims = false) a =
   let s = Tensor.shape a in
@@ -102,18 +86,15 @@ let argmax ~axis a =
   let s = Tensor.shape a in
   let axis = Shape.normalize_axis ~rank:(Shape.rank s) axis in
   let out_shape = Shape.remove_axis s axis in
-  let out = Tensor.zeros ~dtype:Dtype.I64 out_shape in
-  let best = Tensor.full ~dtype:Dtype.F64 out_shape Float.neg_infinity in
-  for i = 0 to Tensor.numel a - 1 do
-    let idx = Shape.unravel s i in
-    let out_idx =
-      Array.init (Array.length idx - 1) (fun j -> if j < axis then idx.(j) else idx.(j + 1))
-    in
-    let o = Shape.linear_index out_shape out_idx in
-    let v = Tensor.get_float a i in
-    if v > Tensor.get_float best o then begin
-      Tensor.set_float best o v;
-      Tensor.set_int out o idx.(axis)
-    end
-  done;
-  out
+  let dst = Array.make (Shape.numel out_shape) 0 in
+  let best = Array.make (Shape.numel out_shape) Float.neg_infinity in
+  let src = Tensor.floats a in
+  along ~axis a (fun o st n ->
+      for i = 0 to n - 1 do
+        let k = o.(0) + (i * st.(0)) and v = src.(o.(1) + (i * st.(1))) in
+        if v > best.(k) then begin
+          best.(k) <- v;
+          dst.(k) <- o.(2) + (i * st.(2))
+        end
+      done);
+  { Tensor.shape = out_shape; dtype = Dtype.I64; buf = Tensor.Ints dst }

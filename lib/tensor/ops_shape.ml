@@ -1,6 +1,36 @@
 (** Shape-manipulating operators: transpose, concat, split, slice, take,
     and the data-dependent-shape operators the paper calls out ([arange],
-    [unique]). *)
+    [unique]). Each layout operator copies a strided region of its input
+    into a fresh output, integers as integers. *)
+
+(** [copy dims (dst, dst_off, dst_st) (src, src_off, src_st)] copies the
+    region of [src] at [src_off] with strides [src_st] over [dims] to the
+    region of [dst] so described; both have one dtype. *)
+let copy dims (dst, dst_off, dst_st) (src, src_off, src_st) =
+  let ops = [| (dst_off, dst_st); (src_off, src_st) |] in
+  match (dst.Tensor.buf, src.Tensor.buf) with
+  | Tensor.Floats d, Tensor.Floats s ->
+      Strided.iter dims ops (fun o st n ->
+          let od = o.(0) and os = o.(1) and sd = st.(0) and ss = st.(1) in
+          for i = 0 to n - 1 do
+            Array.unsafe_set d (od + (i * sd)) (Array.unsafe_get s (os + (i * ss)))
+          done)
+  | Tensor.Ints d, Tensor.Ints s ->
+      Strided.iter dims ops (fun o st n ->
+          let od = o.(0) and os = o.(1) and sd = st.(0) and ss = st.(1) in
+          for i = 0 to n - 1 do
+            Array.unsafe_set d (od + (i * sd)) (Array.unsafe_get s (os + (i * ss)))
+          done)
+  | _ ->
+      Tensor.type_err "copy: %a into %a" Dtype.pp (Tensor.dtype src) Dtype.pp
+        (Tensor.dtype dst)
+
+(* The region of [src] at [src_off] with strides [src_st] over [dims], as
+   a fresh row-major tensor. *)
+let gather dims src src_off src_st =
+  let out = Tensor.empty ~dtype:(Tensor.dtype src) dims in
+  copy dims (out, 0, Shape.strides dims) (src, src_off, src_st);
+  out
 
 (** Permute dimensions; [axes] defaults to full reversal. *)
 let transpose ?axes a =
@@ -13,24 +43,18 @@ let transpose ?axes a =
   in
   if Array.length axes <> r then
     Tensor.type_err "transpose: %d axes for rank %d" (Array.length axes) r;
+  let axes = Array.map (Shape.normalize_axis ~rank:r) axes in
   let seen = Array.make r false in
   Array.iter
     (fun ax ->
-      let ax = Shape.normalize_axis ~rank:r ax in
       if seen.(ax) then Tensor.type_err "transpose: duplicate axis %d" ax;
       seen.(ax) <- true)
     axes;
-  let out_shape = Array.map (fun ax -> s.(Shape.normalize_axis ~rank:r ax)) axes in
-  let out = Tensor.empty ~dtype:(Tensor.dtype a) out_shape in
-  for i = 0 to Tensor.numel a - 1 do
-    let out_idx = Shape.unravel out_shape i in
-    let in_idx = Array.make r 0 in
-    Array.iteri (fun j ax -> in_idx.(Shape.normalize_axis ~rank:r ax) <- out_idx.(j)) axes;
-    Tensor.set_float out i (Tensor.get_float a (Shape.linear_index s in_idx))
-  done;
-  out
+  let st = Shape.strides s in
+  gather (Array.map (fun ax -> s.(ax)) axes) a 0 (Array.map (fun ax -> st.(ax)) axes)
 
-(** Concatenate along [axis]; all other dims must match. *)
+(** Concatenate along [axis]; all other dims must match. The output has
+    the first input's dtype, to which {!Tensor.astype} converts the rest. *)
 let concat ~axis (ts : Tensor.t list) =
   match ts with
   | [] -> Tensor.type_err "concat: empty input list"
@@ -53,18 +77,16 @@ let concat ~axis (ts : Tensor.t list) =
             acc + s.(axis))
           0 ts
       in
+      let dt = Tensor.dtype first in
       let out_shape = Array.mapi (fun i d -> if i = axis then total else d) base in
-      let out = Tensor.empty ~dtype:(Tensor.dtype first) out_shape in
-      (* Copy each input into its slice of the output along [axis]. *)
-      let offset = ref 0 in
+      let out = Tensor.empty ~dtype:dt out_shape in
+      let out_st = Shape.strides out_shape and offset = ref 0 in
+      (* each input fills its window of the output along [axis] *)
       List.iter
         (fun t ->
+          let t = if Dtype.equal (Tensor.dtype t) dt then t else Tensor.astype t dt in
           let s = Tensor.shape t in
-          for i = 0 to Tensor.numel t - 1 do
-            let idx = Shape.unravel s i in
-            idx.(axis) <- idx.(axis) + !offset;
-            Tensor.set_float out (Shape.linear_index out_shape idx) (Tensor.get_float t i)
-          done;
+          copy s (out, !offset * out_st.(axis), out_st) (t, 0, Shape.strides s);
           offset := !offset + s.(axis))
         ts;
       out
@@ -77,14 +99,8 @@ let split ~axis ~sections a =
     Tensor.type_err "split: dim %d not divisible into %d sections" s.(axis) sections;
   let part = s.(axis) / sections in
   let out_shape = Array.mapi (fun i d -> if i = axis then part else d) s in
-  List.init sections (fun sec ->
-      let out = Tensor.empty ~dtype:(Tensor.dtype a) out_shape in
-      for i = 0 to Tensor.numel out - 1 do
-        let idx = Shape.unravel out_shape i in
-        idx.(axis) <- idx.(axis) + (sec * part);
-        Tensor.set_float out i (Tensor.get_float a (Shape.linear_index s idx))
-      done;
-      out)
+  let st = Shape.strides s in
+  List.init sections (fun sec -> gather out_shape a (sec * part * st.(axis)) st)
 
 (** [strided_slice ~begins ~ends a]: per-dim windows from [begins]
     (inclusive) to [ends] (exclusive), step 1. Negative indices count from
@@ -100,14 +116,9 @@ let strided_slice ~begins ~ends a =
     lo.(i) <- Stdlib.max 0 (Stdlib.min (norm begins.(i)) s.(i));
     hi.(i) <- Stdlib.max lo.(i) (Stdlib.min (norm ends.(i)) s.(i))
   done;
-  let out_shape = Array.init r (fun i -> hi.(i) - lo.(i)) in
-  let out = Tensor.empty ~dtype:(Tensor.dtype a) out_shape in
-  for i = 0 to Tensor.numel out - 1 do
-    let idx = Shape.unravel out_shape i in
-    let src = Array.mapi (fun j v -> v + lo.(j)) idx in
-    Tensor.set_float out i (Tensor.get_float a (Shape.linear_index s src))
-  done;
-  out
+  let st = Shape.strides s in
+  let off = Array.fold_left ( + ) 0 (Array.map2 ( * ) lo st) in
+  gather (Array.init r (fun i -> hi.(i) - lo.(i))) a off st
 
 (** Gather rows: [take ~axis data indices] with integer [indices]. *)
 let take ?(axis = 0) data indices =
@@ -120,21 +131,19 @@ let take ?(axis = 0) data indices =
       [ Array.sub s 0 axis; is; Array.sub s (axis + 1) (Shape.rank s - axis - 1) ]
   in
   let out = Tensor.empty ~dtype:(Tensor.dtype data) out_shape in
-  let ir = Shape.rank is in
-  for i = 0 to Tensor.numel out - 1 do
-    let idx = Shape.unravel out_shape i in
-    let ind_idx = Array.sub idx axis ir in
-    let which = Tensor.get_int indices (Shape.linear_index is ind_idx) in
-    let which = if which < 0 then which + s.(axis) else which in
-    if which < 0 || which >= s.(axis) then
-      Tensor.type_err "take: index %d out of bounds for dim %d" which s.(axis);
-    let src =
-      Array.concat
-        [ Array.sub idx 0 axis; [| which |];
-          Array.sub idx (axis + ir) (Array.length idx - axis - ir) ]
-    in
-    Tensor.set_float out i (Tensor.get_float data (Shape.linear_index s src))
-  done;
+  (* with [data] as (outer, s.(axis), inner) and the output as (outer, k,
+     inner), index [j] copies one (outer, inner) block *)
+  let outer = Shape.numel (Array.sub s 0 axis) and inner = (Shape.strides s).(axis) in
+  let k = Shape.numel is in
+  Array.iteri
+    (fun j which ->
+      let which = if which < 0 then which + s.(axis) else which in
+      if which < 0 || which >= s.(axis) then
+        Tensor.type_err "take: index %d out of bounds for dim %d" which s.(axis);
+      copy [| outer; inner |]
+        (out, j * inner, [| k * inner; 1 |])
+        (data, which * inner, [| s.(axis) * inner; 1 |]))
+    (Tensor.to_int_array indices);
   out
 
 (** [arange start stop step]: data-dependent output shape (paper §4.2). *)
@@ -169,22 +178,14 @@ let tile ~reps a =
   let s = Tensor.shape a in
   let r = Shape.rank s in
   if Array.length reps <> r then Tensor.type_err "tile: reps rank mismatch";
-  let out_shape = Array.mapi (fun i d -> d * reps.(i)) s in
-  let out = Tensor.empty ~dtype:(Tensor.dtype a) out_shape in
-  for i = 0 to Tensor.numel out - 1 do
-    let idx = Shape.unravel out_shape i in
-    let src = Array.mapi (fun j v -> v mod s.(j)) idx in
-    Tensor.set_float out i (Tensor.get_float a (Shape.linear_index s src))
-  done;
-  out
+  (* the output is row-major over the dims (reps.(0), s.(0), reps.(1),
+     s.(1), ...), and the input repeats with stride 0 along each reps.(i) *)
+  let st = Shape.strides s and pairs f = Array.concat (List.init r f) in
+  let dims = pairs (fun i -> [| reps.(i); s.(i) |]) in
+  let out = gather dims a 0 (pairs (fun i -> [| 0; st.(i) |])) in
+  { out with Tensor.shape = Array.mapi (fun i d -> d * reps.(i)) s }
 
 (** Stack rank-r tensors into a rank-(r+1) tensor along a new leading axis. *)
 let stack (ts : Tensor.t list) =
-  match ts with
-  | [] -> Tensor.type_err "stack: empty input list"
-  | first :: _ ->
-      let expanded =
-        List.map (fun t -> Tensor.reshape t (Shape.insert_axis (Tensor.shape t) 0)) ts
-      in
-      ignore first;
-      concat ~axis:0 expanded
+  if ts = [] then Tensor.type_err "stack: empty input list";
+  concat ~axis:0 (List.map (fun t -> Tensor.reshape t (Shape.insert_axis (Tensor.shape t) 0)) ts)

@@ -48,20 +48,6 @@ let linear_index (s : t) (idx : int array) =
   done;
   !acc
 
-(** Inverse of [linear_index]: decompose a linear offset into a multi-index. *)
-let unravel (s : t) (lin : int) : int array =
-  let n = Array.length s in
-  let idx = Array.make n 0 in
-  let rem = ref lin in
-  let st = strides s in
-  for i = 0 to n - 1 do
-    if s.(i) > 0 then begin
-      idx.(i) <- !rem / st.(i);
-      rem := !rem mod st.(i)
-    end
-  done;
-  idx
-
 (** NumPy-style broadcast of two shapes; [None] if incompatible. *)
 let broadcast (a : t) (b : t) : t option =
   let ra = rank a and rb = rank b in
@@ -82,19 +68,6 @@ let broadcast_exn a b =
   match broadcast a b with
   | Some s -> s
   | None -> err "cannot broadcast %a with %a" pp a pp b
-
-(** Map an index in the broadcast output shape back to a linear offset in an
-    input of shape [src] (dimensions of size 1 are repeated). *)
-let broadcast_offset ~(src : t) ~(out : t) (out_idx : int array) =
-  let rs = rank src and ro = rank out in
-  let st = strides src in
-  let acc = ref 0 in
-  for i = 0 to rs - 1 do
-    let oi = out_idx.(ro - rs + i) in
-    let si = if src.(i) = 1 then 0 else oi in
-    acc := !acc + (si * st.(i))
-  done;
-  !acc
 
 (** Normalize a possibly-negative axis against a rank. *)
 let normalize_axis ~rank:r axis =

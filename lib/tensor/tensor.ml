@@ -5,9 +5,11 @@
     dtypes — because the native compiler produces far better code for them
     than for Bigarrays (unboxed access, register-tiled loops); the dtype
     remains a logical tag that drives promotion, serialization width and
-    byte accounting. Views are not implemented: every shape-changing op
-    copies, which matches the semantics the Nimble VM needs (tensors
-    allocated out of explicit [storage] regions; see {!Storage}). *)
+    byte accounting. Layout, broadcast and reduction operators walk their
+    operands through offsets and strides ({!Strided}), but every operator
+    still returns a fresh tensor: views are not implemented. The Nimble
+    VM needs that, since it overwrites its pooled storage between calls,
+    and a result aliasing an input would change under it. *)
 
 type buf =
   | Floats of float array  (** F32 / F64 *)
@@ -40,15 +42,13 @@ let empty ?(dtype = Dtype.F32) shape =
   Shape.validate shape;
   { shape = Array.copy shape; dtype; buf = alloc_buf dtype (Shape.numel shape) }
 
-let clamp_u8 v = v land 0xff
+(** An integer element of dtype [dt] as stored: wrapped for U8. *)
+let clamp dt v = if dt = Dtype.U8 then v land 0xff else v
 
 let fill_float t v =
   (match t.buf with
   | Floats b -> Array.fill b 0 (Array.length b) v
-  | Ints b ->
-      let iv = int_of_float v in
-      let iv = if t.dtype = Dtype.U8 then clamp_u8 iv else iv in
-      Array.fill b 0 (Array.length b) iv);
+  | Ints b -> Array.fill b 0 (Array.length b) (clamp t.dtype (int_of_float v)));
   t
 
 let full ?(dtype = Dtype.F32) shape v = fill_float (empty ~dtype shape) v
@@ -68,9 +68,7 @@ let get_float t i =
 let set_float t i v =
   match t.buf with
   | Floats b -> Array.unsafe_set b i v
-  | Ints b ->
-      let iv = int_of_float v in
-      Array.unsafe_set b i (if t.dtype = Dtype.U8 then clamp_u8 iv else iv)
+  | Ints b -> Array.unsafe_set b i (clamp t.dtype (int_of_float v))
 
 let get_int t i =
   match t.buf with
@@ -80,7 +78,7 @@ let get_int t i =
 let set_int t i v =
   match t.buf with
   | Floats b -> Array.unsafe_set b i (float_of_int v)
-  | Ints b -> Array.unsafe_set b i (if t.dtype = Dtype.U8 then clamp_u8 v else v)
+  | Ints b -> Array.unsafe_set b i (clamp t.dtype v)
 
 let get t idx = get_float t (Shape.linear_index t.shape idx)
 let set t idx v = set_float t (Shape.linear_index t.shape idx) v
@@ -98,6 +96,11 @@ let float_buf t =
   match t.buf with
   | Floats b -> b
   | Ints _ -> type_err "float_buf: tensor has dtype %a" Dtype.pp t.dtype
+
+(** The elements as floats, for a kernel that only reads them: the buffer
+    itself for a floating tensor, a converted copy for an integer one. *)
+let floats t =
+  match t.buf with Floats b -> b | Ints b -> Array.map float_of_int b
 
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
@@ -125,9 +128,7 @@ let of_int_array ?(dtype = Dtype.I64) shape (src : int array) =
   t
 
 let to_float_array t =
-  match t.buf with
-  | Floats b -> Array.copy b
-  | Ints _ -> Array.init (numel t) (get_float t)
+  match t.buf with Floats b -> Array.copy b | Ints _ -> floats t
 
 let to_int_array t =
   match t.buf with
@@ -208,11 +209,19 @@ let approx_equal ?(atol = 1e-5) ?(rtol = 1e-4) a b =
 
 let equal a b = approx_equal ~atol:0.0 ~rtol:0.0 a b
 
+(** [init shape f] sets each element to [f] of its multi-index, calling
+    [f] in row-major order on the calling domain. *)
 let init ?(dtype = Dtype.F32) shape f =
-  let t = empty ~dtype shape in
-  for i = 0 to numel t - 1 do
-    set_float t i (f (Shape.unravel shape i))
-  done;
+  let t = empty ~dtype shape and r = Shape.rank shape in
+  (* operand [k + 1] has stride 1 on dim [k] only: its offset is the index there *)
+  let ops = Array.init (r + 1) (fun k -> (0, Array.init r (fun j -> Bool.to_int (j = k - 1)))) in
+  ops.(0) <- (0, Shape.strides shape);
+  Nimble_parallel.Parallel.pinned_sequential (fun () ->
+      Strided.iter shape ops (fun o st n ->
+          for i = 0 to n - 1 do
+            let idx = Array.init r (fun k -> o.(k + 1) + (i * st.(k + 1))) in
+            set_float t (o.(0) + (i * st.(0))) (f idx)
+          done));
   t
 
 let randn ?(dtype = Dtype.F32) ?(scale = 1.0) rng shape =

@@ -22,7 +22,7 @@ let test_strides () =
 let test_linear_unravel () =
   let s = [| 2; 3; 4 |] in
   Alcotest.(check int) "linear" 23 (Shape.linear_index s [| 1; 2; 3 |]);
-  Alcotest.(check (array int)) "unravel" [| 1; 2; 3 |] (Shape.unravel s 23);
+  Alcotest.(check (array int)) "unravel" [| 1; 2; 3 |] (Index_loops.Shape.unravel s 23);
   Alcotest.check_raises "oob" (Shape.Shape_error "index 3 out of bounds for dim 1 of (2, 3, 4)")
     (fun () -> ignore (Shape.linear_index s [| 0; 3; 0 |]))
 
@@ -340,7 +340,7 @@ let prop_unravel_linear =
       ||
       let rng = Rng.create ~seed:(Shape.numel s) in
       let i = Rng.int rng n in
-      Shape.linear_index s (Shape.unravel s i) = i)
+      Shape.linear_index s (Index_loops.Shape.unravel s i) = i)
 
 let prop_add_commutative =
   QCheck.Test.make ~name:"add commutative (same shape)" ~count:50 arb_shape (fun s ->
@@ -386,6 +386,224 @@ let prop_nms_upper_bound =
       let out = Ops_nn.nms boxes in
       (Tensor.shape out).(0) <= n)
 
+(* ------------------- strided loop = index loops ------------------- *)
+
+(* One random case: an operator call through lib/tensor ([fresh]) and
+   through the index loops it replaced ([oracle]). *)
+type oracle_case = {
+  label : string;
+  fresh : unit -> Tensor.t list;
+  oracle : unit -> Tensor.t list;
+}
+
+(* Same shape, dtype and bits, NaN included. *)
+let bitwise a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Dtype.equal (Tensor.dtype a) (Tensor.dtype b)
+  &&
+  match (a.Tensor.buf, b.Tensor.buf) with
+  | Tensor.Floats x, Tensor.Floats y ->
+      Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) x y
+  | Tensor.Ints x, Tensor.Ints y -> x = y
+  | _ -> false
+
+(* Every case draws from [r]. Shapes have rank 0-4 and dims 0-4, or,
+   one time in six, more elements than one parallel chunk. *)
+let oracle_case seed =
+  let r = Rng.create ~seed in
+  let pick l = List.nth l (Rng.int r (List.length l)) in
+  let dtype () = pick Dtype.[ F32; F64; I64; U8 ] in
+  let tensor dt shape =
+    let n = Shape.numel shape in
+    let vals =
+      Array.init n (fun _ ->
+          match dt with
+          | Dtype.U8 -> float_of_int (Rng.int r 256)
+          | Dtype.I64 | Dtype.I32 -> float_of_int (Rng.int r 2001 - 1000)
+          | Dtype.F32 | Dtype.F64 ->
+              if Rng.int r 4 = 0 then float_of_int (Rng.int r 5 - 2) else Rng.normal r)
+    in
+    Tensor.of_float_array ~dtype:dt shape vals
+  in
+  let shape ?(min_rank = 0) () =
+    let rank = min_rank + Rng.int r (5 - min_rank) in
+    if rank > 0 && Rng.int r 6 = 0 then
+      List.nth [ [| 16411 |]; [| 131; 127 |]; [| 17; 33; 31 |]; [| 5; 9; 19; 21 |] ] (rank - 1)
+    else Array.init rank (fun _ -> if Rng.int r 10 = 0 then 0 else 1 + Rng.int r 4)
+  in
+  let big s = Shape.numel s > 256 in
+  (* a shape that broadcasts to [s]: leading dims dropped, some dims 1 *)
+  let broadcast_from s =
+    let lead = Rng.int r (Array.length s + 1) in
+    Array.map (fun d -> if Rng.int r 3 = 0 then 1 else d) (Array.sub s lead (Array.length s - lead))
+  in
+  let axis s = Rng.int r (Array.length s) - if Rng.int r 2 = 0 then Array.length s else 0 in
+  let shows ts =
+    let show t = Fmt.str "%a:%a" Shape.pp (Tensor.shape t) Dtype.pp (Tensor.dtype t) in
+    String.concat " " (List.map show ts)
+  in
+  let case label fresh oracle = { label; fresh; oracle } in
+  match Rng.int r 11 with
+  | 0 ->
+      let name, f, out_dtype =
+        pick
+          [
+            ("add", ( +. ), None); ("subtract", ( -. ), None); ("multiply", ( *. ), None);
+            ("divide", (fun x y -> if y = 0.0 then Float.nan else x /. y), None);
+            ("maximum", Float.max, None); ("power", Float.pow, None);
+            ("less", (fun x y -> if x < y then 1.0 else 0.0), Some Dtype.U8);
+            ("equal", (fun x y -> if x = y then 1.0 else 0.0), Some Dtype.U8);
+          ]
+      in
+      let s = shape () in
+      let a = tensor (dtype ()) (broadcast_from s) and b = tensor (dtype ()) s in
+      let a, b = if Rng.int r 2 = 0 then (a, b) else (b, a) in
+      case (Fmt.str "binop %s %s" name (shows [ a; b ]))
+        (fun () -> [ Ops_elem.binop ?out_dtype name f a b ])
+        (fun () -> [ Index_loops.binop ?out_dtype name f a b ])
+  | 1 ->
+      let s = shape () in
+      let cond = tensor (pick Dtype.[ U8; F32 ]) (broadcast_from s) in
+      let a = tensor (dtype ()) (broadcast_from s) and b = tensor (dtype ()) s in
+      case (Fmt.str "where %s" (shows [ cond; a; b ]))
+        (fun () -> [ Ops_elem.where cond a b ])
+        (fun () -> [ Index_loops.where cond a b ])
+  | 2 ->
+      let a = tensor (dtype ()) (shape ()) in
+      let rank = Tensor.rank a in
+      let axes =
+        if Rng.int r 4 = 0 then None
+        else begin
+          let p = Array.init rank Fun.id in
+          for i = rank - 1 downto 1 do
+            let j = Rng.int r (i + 1) in
+            let t = p.(i) in
+            p.(i) <- p.(j);
+            p.(j) <- t
+          done;
+          Some (Array.map (fun ax -> if Rng.int r 2 = 0 then ax - rank else ax) p)
+        end
+      in
+      case (Fmt.str "transpose %s" (shows [ a ]))
+        (fun () -> [ Ops_shape.transpose ?axes a ])
+        (fun () -> [ Index_loops.transpose ?axes a ])
+  | 3 ->
+      let s = shape ~min_rank:1 () in
+      let ax = axis s in
+      let norm = Shape.normalize_axis ~rank:(Array.length s) ax in
+      let dt = dtype () in
+      let ts =
+        List.init (1 + Rng.int r 3) (fun _ ->
+            let s = Array.copy s in
+            if not (big s) then s.(norm) <- Rng.int r 4;
+            tensor (if Rng.int r 4 = 0 then dtype () else dt) s)
+      in
+      case (Fmt.str "concat axis=%d %s" ax (shows ts))
+        (fun () -> [ Ops_shape.concat ~axis:ax ts ])
+        (fun () -> [ Index_loops.concat ~axis:ax ts ])
+  | 4 ->
+      let s = shape ~min_rank:1 () in
+      let ax = axis s in
+      let norm = Shape.normalize_axis ~rank:(Array.length s) ax in
+      let sections = 1 + Rng.int r 3 in
+      if not (big s) then s.(norm) <- sections * Rng.int r 3;
+      let sections = if s.(norm) mod sections = 0 then sections else 1 in
+      let a = tensor (dtype ()) s in
+      case (Fmt.str "split axis=%d sections=%d %s" ax sections (shows [ a ]))
+        (fun () -> Ops_shape.split ~axis:ax ~sections a)
+        (fun () -> Index_loops.split ~axis:ax ~sections a)
+  | 5 ->
+      let s = shape () in
+      let a = tensor (dtype ()) s in
+      let bound d = Rng.int r (2 * d + 5) - d - 2 in
+      let begins = Array.map bound s and ends = Array.map bound s in
+      case
+        (Fmt.str "strided_slice %s begins=%a ends=%a" (shows [ a ]) Shape.pp begins Shape.pp ends)
+        (fun () -> [ Ops_shape.strided_slice ~begins ~ends a ])
+        (fun () -> [ Index_loops.strided_slice ~begins ~ends a ])
+  | 6 ->
+      let s = shape ~min_rank:1 () in
+      let ax = axis s in
+      let norm = Shape.normalize_axis ~rank:(Array.length s) ax in
+      if s.(norm) = 0 then s.(norm) <- 1;
+      let data = tensor (dtype ()) s in
+      let is = Array.init (Rng.int r 3) (fun _ -> Rng.int r 4) in
+      let d = s.(norm) in
+      let indices =
+        Tensor.of_int_array ~dtype:(pick Dtype.[ I64; I32 ]) is
+          (Array.init (Shape.numel is) (fun _ -> Rng.int r (2 * d) - d))
+      in
+      case (Fmt.str "take axis=%d %s" ax (shows [ data; indices ]))
+        (fun () -> [ Ops_shape.take ~axis:ax data indices ])
+        (fun () -> [ Index_loops.take ~axis:ax data indices ])
+  | 7 ->
+      let s = shape () in
+      (* a big shape repeats along its first dim only, so the oracle stays quick *)
+      let rep i = if not (big s) then Rng.int r 4 else if i = 0 then 1 + Rng.int r 2 else 1 in
+      let reps = Array.mapi (fun i _ -> rep i) s in
+      let a = tensor (dtype ()) s in
+      case (Fmt.str "tile %s reps=%a" (shows [ a ]) Shape.pp reps)
+        (fun () -> [ Ops_shape.tile ~reps a ])
+        (fun () -> [ Index_loops.tile ~reps a ])
+  | 8 ->
+      let s = shape ~min_rank:1 () in
+      let ax = axis s and keepdims = Rng.int r 2 = 0 in
+      let name, init, f =
+        pick
+          [ ("sum", 0.0, ( +. )); ("max", Float.neg_infinity, Float.max);
+            ("min", Float.infinity, Float.min) ]
+      in
+      let a = tensor (dtype ()) s in
+      case (Fmt.str "%s axis=%d keepdims=%b %s" name ax keepdims (shows [ a ]))
+        (fun () -> [ Ops_reduce.reduce_axis init f ~keepdims ~axis:ax a ])
+        (fun () -> [ Index_loops.reduce_axis name init f ~keepdims ~axis:ax a ])
+  | 9 ->
+      let s = shape ~min_rank:1 () in
+      let ax = axis s in
+      let a = tensor (dtype ()) s in
+      case (Fmt.str "argmax axis=%d %s" ax (shows [ a ]))
+        (fun () -> [ Ops_reduce.argmax ~axis:ax a ])
+        (fun () -> [ Index_loops.argmax ~axis:ax a ])
+  | _ ->
+      let s = shape () and dtype = dtype () in
+      let f idx = Array.fold_left (fun acc i -> (acc *. 7.0) +. float_of_int i) 0.5 idx in
+      case (Fmt.str "init %a %a" Shape.pp s Dtype.pp dtype)
+        (fun () -> [ Tensor.init ~dtype s f ])
+        (fun () -> [ Index_loops.init ~dtype s f ])
+
+let prop_strided_matches_index_loops =
+  QCheck.Test.make ~name:"strided loop = index loops, bitwise" ~count:600
+    (QCheck.make
+       ~print:(fun seed -> Fmt.str "seed %d: %s" seed (oracle_case seed).label)
+       QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let c = oracle_case seed in
+      let outcome run = try Ok (run ()) with e -> Error (Printexc.to_string e) in
+      match (outcome c.fresh, outcome c.oracle) with
+      | Ok xs, Ok ys -> List.length xs = List.length ys && List.for_all2 bitwise xs ys
+      | Error _, Error _ -> true
+      | Ok _, Error e -> QCheck.Test.fail_reportf "only the index loops raise: %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "only the strided loop raises: %s" e)
+
+(* An integer beyond 2^53 has no exact float: copy and select operators
+   move it as an integer. *)
+let test_large_ints_copied_exactly () =
+  let big = (1 lsl 53) + 1 in
+  let t = Tensor.of_int_array [| 2; 2 |] [| big; -big; big + 2; 7 |] in
+  let row = Tensor.of_int_array [| 1; 2 |] [| big; -big |] in
+  let has name out =
+    Alcotest.(check bool) (name ^ " keeps 2^53+1") true
+      (Array.mem big (Tensor.to_int_array out))
+  in
+  has "transpose" (Ops_shape.transpose t);
+  has "concat" (Ops_shape.concat ~axis:0 [ t; t ]);
+  List.iter (has "split") (Ops_shape.split ~axis:1 ~sections:1 t);
+  has "strided_slice" (Ops_shape.strided_slice ~begins:[| 0; 0 |] ~ends:[| 1; 1 |] t);
+  has "tile" (Ops_shape.tile ~reps:[| 2; 1 |] t);
+  has "take" (Ops_shape.take t (Tensor.of_int_array [| 1 |] [| 0 |]));
+  has "stack" (Ops_shape.stack [ row; row ]);
+  has "where" (Ops_elem.where (Tensor.ones ~dtype:Dtype.U8 [| 2; 2 |]) t t)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -397,6 +615,7 @@ let props =
       prop_softmax_distribution;
       prop_transpose_involution;
       prop_nms_upper_bound;
+      prop_strided_matches_index_loops;
     ]
 
 let () =
@@ -447,6 +666,7 @@ let () =
           Alcotest.test_case "take" `Quick test_take;
           Alcotest.test_case "arange/unique" `Quick test_arange_unique;
           Alcotest.test_case "tile/stack" `Quick test_tile_stack;
+          Alcotest.test_case "large ints copied exactly" `Quick test_large_ints_copied_exactly;
         ] );
       ( "nn_ops",
         [

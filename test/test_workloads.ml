@@ -127,6 +127,61 @@ let test_sample_input (m : Zoo.model) () =
         (run seq))
     (if vision then [ 12 ] else [ 3; 12 ])
 
+(* MD5 of every zoo model's sample output: shape, dtype and the exact
+   bits of each element. A kernel change meant only to be faster must
+   leave every one as it is, at every pool width. *)
+let output_golden =
+  [
+    ( "lstm",
+      [ (3, "a1bb469641c2e42db141f0dad48da42b");
+        (12, "59625512c375644abe288681bf9ef8a6") ] );
+    ( "posenc",
+      [ (3, "d4fd5b49cfefe2f2f33787c51f2905e8");
+        (12, "0dc1b13793051f0c5e1d9ec2f9ed8fcb") ] );
+    ( "gru",
+      [ (3, "455373901d1e91dce1587e12cbd57be2");
+        (12, "2eaf5b73accc94d7fbb9e1dbf2dff109") ] );
+    ( "treelstm",
+      [ (3, "36e5be82c44a172c0653b23c63930ff3");
+        (12, "f5f37b1c770c066ba824dcc6288a6d41") ] );
+    ( "bert",
+      [ (3, "9938edfc761d68dd3d291a9b4c9d85a4");
+        (12, "32692f3f6d3837de2d3bae51ffdd335f") ] );
+    ( "decoder",
+      [ (3, "09215118cc13d0bba532791ab06b11bc");
+        (12, "97f33814309d62f56a7acb3ca6e8e9b1") ] );
+    ( "seq2seq",
+      [ (3, "51abfc4559abd66e504043f546c97175");
+        (12, "7797eace60b24289822f12b706b0b7a0") ] );
+    ("resnet", [ (12, "9ab07490c6921dadeaa94724163f53b5") ]);
+    ("mobilenet", [ (12, "6a995614eef40f048e3f86a9db77676a") ]);
+    ("vgg", [ (12, "77cb615f441718312f61e943de891872") ]);
+    ("squeezenet", [ (12, "26d959d8938f6a84fcbbe2d6a406204f") ]);
+  ]
+
+let output_digest t =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Fmt.str "%a %a;" Shape.pp (Tensor.shape t) Dtype.pp (Tensor.dtype t));
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) (Tensor.to_float_array t);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_output_pinned name () =
+  let m = Option.get (Zoo.find name) in
+  let vm = Nimble_compiler.Nimble.(vm (compile (m.build ()))) in
+  List.iter
+    (fun (seq, md5) ->
+      match Interp.invoke_result vm [ m.sample_input ~seq ] with
+      | Ok out ->
+          Alcotest.(check string) (Fmt.str "seq=%d: output MD5" seq) md5
+            (output_digest (Nimble_vm.Obj.to_tensor out))
+      | Error fl -> Alcotest.failf "seq=%d: %a" seq Interp.pp_failure fl)
+    (List.assoc name output_golden)
+
+let test_outputs_cover_zoo () =
+  Alcotest.(check (list string)) "pinned models"
+    (List.map (fun (m : Zoo.model) -> m.name) Zoo.models)
+    (List.map fst output_golden)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -152,4 +207,9 @@ let () =
         List.map
           (fun (m : Zoo.model) -> Alcotest.test_case m.name `Quick (test_sample_input m))
           Zoo.models );
+      ( "zoo output digests",
+        Alcotest.test_case "every model pinned" `Quick test_outputs_cover_zoo
+        :: List.map
+             (fun (name, _) -> Alcotest.test_case name `Quick (test_output_pinned name))
+             output_golden );
     ]
