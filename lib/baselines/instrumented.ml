@@ -24,36 +24,12 @@ end
 module Make_ops (C : CONFIG) : Model_ops.OPS with type t = Tensor.t = struct
   type t = Tensor.t
 
-  (* A boxed dispatch table: op name -> kernel, looked up per call, the way
-     a framework's dynamic dispatch works. *)
-  let table : (string, Nimble_ir.Attrs.t -> Tensor.t list -> Tensor.t list) Hashtbl.t =
-    Hashtbl.create 32
-
-  let () =
-    List.iter
-      (fun name ->
-        Hashtbl.replace table name (fun attrs args ->
-            Nimble_codegen.Op_eval.eval name ~attrs args))
-      [
-        "add"; "subtract"; "multiply"; "sigmoid"; "tanh"; "gelu"; "relu";
-        "dense"; "bias_add"; "softmax"; "layer_norm"; "split"; "strided_slice";
-        "reshape"; "transpose"; "batch_matmul"; "concat"; "conv2d";
-        "max_pool2d"; "global_avg_pool2d"; "batch_norm";
-      ]
-
   let dispatch name attrs args =
     Trace.record_framework C.dispatch_event ();
     (match C.graph_event with
     | Some ev -> Trace.record_framework ev ()
     | None -> ());
-    let kernel =
-      match Hashtbl.find_opt table name with
-      | Some k -> k
-      | None -> fun attrs args -> Nimble_codegen.Op_eval.eval name ~attrs args
-    in
-    let outs = kernel attrs args in
-    Trace.record_op name ~attrs args outs;
-    outs
+    Trace.eval_op name ~attrs args
 
   let one name attrs args =
     match dispatch name attrs args with

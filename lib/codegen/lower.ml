@@ -1,199 +1,160 @@
-(** Lowering fused primitive functions to executable kernels.
+(** Lowering straight-line bodies to runners, once, at link time.
 
     A primitive function (produced by the fusion pass) is a straight-line
-    dataflow of operator calls. Lowering turns it into a {!Kernel.t} closure.
-    [dense] calls inside the primitive are routed through the symbolic
+    dataflow of operator calls, and so is the [main] of a fused static
+    module. {!compile} numbers such a body's parameters and let-bindings
+    into slots and resolves every call site once; the runner it returns
+    fills a fresh slot array per call and never walks the IR again.
+    Kernels ({!lower}), composed shape functions
+    ({!shape_func_of_primitive}) and the static executor are its three
+    uses. [dense] calls inside a kernel are routed through the symbolic
     residue {!Dispatch} when one is configured — this is where symbolic
-    codegen plugs into the pipeline. Every executed op reports to {!Trace}. *)
+    codegen plugs into the pipeline. Every executed op reports to
+    {!Trace}. *)
 
 open Nimble_tensor
 open Nimble_ir
+module SF = Nimble_shape.Shape_func
 
 exception Lower_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Lower_error s)) fmt
 
-type value = VTensor of Tensor.t | VTuple of value list
+type 'a value = Leaf of 'a | Tuple of 'a value list
 
-let as_tensor = function
-  | VTensor t -> t
-  | VTuple _ -> err "expected a tensor value inside a primitive body"
+let rec flatten v acc =
+  match v with Leaf x -> x :: acc | Tuple vs -> List.fold_right flatten vs acc
 
-(** Operators a primitive body may contain. Control flow never appears in
-    primitives: fusion groups only dataflow. *)
-let rec eval_body ~dense_impl env (e : Expr.t) : value =
-  match e with
-  | Expr.Var v -> (
-      match Hashtbl.find_opt env v.Expr.vid with
-      | Some value -> value
-      | None -> err "unbound variable %%%s in primitive body" v.Expr.vname)
-  | Expr.Const t -> VTensor t
-  | Expr.Tuple es -> VTuple (List.map (eval_body ~dense_impl env) es)
-  | Expr.Proj (e1, i) -> (
-      match eval_body ~dense_impl env e1 with
-      | VTuple vs -> List.nth vs i
-      | VTensor _ -> err "projection from tensor in primitive body")
-  | Expr.Let (v, bound, body) ->
-      Hashtbl.replace env v.Expr.vid (eval_body ~dense_impl env bound);
-      eval_body ~dense_impl env body
-  | Expr.Call { callee = Expr.Op "dense"; args; attrs } -> (
-      let ins = List.map (fun a -> as_tensor (eval_body ~dense_impl env a)) args in
-      match (dense_impl, ins) with
-      | Some impl, [ a; w ] ->
-          let out = impl a w in
-          Trace.record_op "dense" ~attrs [ a; w ] [ out ];
-          VTensor out
-      | _, ins -> (
-          match Trace.eval_op "dense" ~attrs ins with
-          | [ out ] -> VTensor out
-          | _ -> err "dense produced multiple outputs"))
-  | Expr.Call { callee = Expr.Op name; args; attrs } -> (
-      let ins = List.map (fun a -> as_tensor (eval_body ~dense_impl env a)) args in
-      match Trace.eval_op name ~attrs ins with
-      | [ out ] -> VTensor out
-      | outs -> VTuple (List.map (fun t -> VTensor t) outs))
-  | Expr.Call _ -> err "primitive body may only call operators"
-  | Expr.Global _ | Expr.Op _ | Expr.Ctor _ | Expr.Fn _ | Expr.If _ | Expr.Match _ ->
-      err "control flow or function values inside a primitive body"
+let leaves v = flatten v []
 
-let rec flatten_value = function
-  | VTensor t -> [ t ]
-  | VTuple vs -> List.concat_map flatten_value vs
+(* An operator's outputs as one value: a leaf, or a tuple of leaves. *)
+let outputs = function [ x ] -> Leaf x | xs -> Tuple (List.map (fun x -> Leaf x) xs)
 
-(** [lower ~name fn] compiles primitive [fn] into a kernel. *)
-let lower ?dispatch ~name (fn : Expr.fn) : Kernel.t =
-  let dense_impl = Option.map (fun d a w -> Dispatch.run d a w) dispatch in
-  let run (args : Tensor.t list) : Tensor.t list =
-    if List.length args <> List.length fn.Expr.params then
-      err "%s: expected %d arguments, got %d" name (List.length fn.Expr.params)
-        (List.length args);
-    let env = Hashtbl.create 16 in
-    List.iter2
-      (fun (p : Expr.var) a -> Hashtbl.replace env p.Expr.vid (VTensor a))
-      fn.Expr.params args;
-    flatten_value (eval_body ~dense_impl env fn.Expr.body)
+let compile ~error ~name ~const ~call (fn : Expr.fn) =
+  let fail fmt = Fmt.kstr (fun s -> raise (error (name ^ ": " ^ s))) fmt in
+  let slots = Hashtbl.create 16 and n_slots = ref 0 in
+  let bind (v : Expr.var) =
+    let s = !n_slots in
+    incr n_slots;
+    Hashtbl.replace slots v.Expr.vid s;
+    s
   in
-  Kernel.make ~name run
-
-(** Compose the shape functions of the ops inside a primitive (§4.2): the
-    shape function of a fused operator is the composition of its members'
-    shape functions, which is only well-defined when every member is
-    data-independent — guaranteed by the fusion policy. *)
-let shape_func_of_primitive ~name (fn : Expr.fn) : Shape.t list -> Shape.t list =
- fun in_shapes ->
-  if List.length in_shapes <> List.length fn.Expr.params then
-    err "%s shape func: expected %d input shapes" name (List.length fn.Expr.params);
-  let env : (int, Shape.t list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter2
-    (fun (p : Expr.var) s -> Hashtbl.replace env p.Expr.vid [ s ])
-    fn.Expr.params in_shapes;
-  let rec go (e : Expr.t) : Shape.t list =
+  List.iter (fun p -> ignore (bind p)) fn.Expr.params;
+  let n_params = !n_slots in
+  (* a call's arguments, flattened to leaves left to right *)
+  let rec gather env = function
+    | [] -> []
+    | f :: fs -> (
+        match f env with
+        | Leaf x -> x :: gather env fs
+        | v -> flatten v (gather env fs))
+  in
+  let rec go (e : Expr.t) : 'a value array -> 'a value =
     match e with
     | Expr.Var v -> (
-        match Hashtbl.find_opt env v.Expr.vid with
-        | Some s -> s
-        | None -> err "%s shape func: unbound variable" name)
-    | Expr.Const t -> [ Tensor.shape t ]
-    | Expr.Tuple es -> List.concat_map go es
-    | Expr.Proj (e1, i) ->
-        let shapes = go e1 in
-        if i >= List.length shapes then err "%s shape func: bad projection" name;
-        [ List.nth shapes i ]
-    | Expr.Let (v, bound, body) ->
-        Hashtbl.replace env v.Expr.vid (go bound);
-        go body
-    | Expr.Call { callee = Expr.Op op; args; attrs } ->
-        let inputs =
-          List.concat_map
-            (fun a -> List.map Nimble_shape.Shape_func.shape_only (go a))
-            args
-        in
-        Nimble_shape.Shape_func.run op ~attrs inputs
-    | _ -> err "%s shape func: unsupported construct" name
-  in
-  go fn.Expr.body
-
-(** Whether every op call site in a primitive has a statically-known output
-    shape (data-independent or dominance-proven) — the precondition for the
-    compositions above. *)
-let all_data_independent (fn : Expr.fn) =
-  let ok = ref true in
-  Expr.iter
-    (function
-      | Expr.Call { callee = Expr.Op name; attrs; _ } ->
-          if not (Nimble_shape.Shape_func.fusible_site ~name ~attrs) then ok := false
-      | _ -> ())
-    fn.Expr.body;
-  !ok
-
-(** Compose the shape function of a primitive containing dominance-proven
-    data-dependent members. Unlike {!shape_func_of_primitive} it takes the
-    primitive's input {e values}; data flows lazily, so only the (scalar-
-    sized) chains feeding proven sites are ever evaluated at shape-function
-    time — heavy member ops are never forced. *)
-let shape_func_of_primitive_values ~name (fn : Expr.fn) :
-    Tensor.t list -> Shape.t list =
- fun ins ->
-  if List.length ins <> List.length fn.Expr.params then
-    err "%s shape func: expected %d input values" name (List.length fn.Expr.params);
-  (* vid -> (output shapes, lazily evaluated output values when available) *)
-  let env : (int, Shape.t list * Tensor.t list Lazy.t option) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter2
-    (fun (p : Expr.var) t ->
-      Hashtbl.replace env p.Expr.vid ([ Tensor.shape t ], Some (lazy [ t ])))
-    fn.Expr.params ins;
-  let all_data rs =
-    if List.for_all (fun (_, d) -> d <> None) rs then
-      Some (lazy (List.concat_map (fun (_, d) -> Lazy.force (Option.get d)) rs))
-    else None
-  in
-  let rec go (e : Expr.t) : Shape.t list * Tensor.t list Lazy.t option =
-    match e with
-    | Expr.Var v -> (
-        match Hashtbl.find_opt env v.Expr.vid with
-        | Some r -> r
-        | None -> err "%s shape func: unbound variable" name)
-    | Expr.Const t -> ([ Tensor.shape t ], Some (lazy [ t ]))
+        match Hashtbl.find_opt slots v.Expr.vid with
+        | Some s -> fun env -> env.(s)
+        | None -> fail "unbound variable %%%s" v.Expr.vname)
+    | Expr.Const t ->
+        let c = Leaf (const t) in
+        fun _ -> c
     | Expr.Tuple es ->
-        let rs = List.map go es in
-        (List.concat_map fst rs, all_data rs)
-    | Expr.Proj (e1, i) ->
-        let shapes, data = go e1 in
-        if i >= List.length shapes then err "%s shape func: bad projection" name;
-        ( [ List.nth shapes i ],
-          Option.map (fun d -> lazy [ List.nth (Lazy.force d) i ]) data )
+        let fs = List.map go es in
+        fun env -> Tuple (List.map (fun f -> f env) fs)
+    | Expr.Proj (e1, i) -> (
+        let f = go e1 in
+        fun env ->
+          match f env with
+          | Tuple vs when i < List.length vs -> List.nth vs i
+          | _ -> fail "projection %d out of a value without it" i)
     | Expr.Let (v, bound, body) ->
-        Hashtbl.replace env v.Expr.vid (go bound);
-        go body
-    | Expr.Call { callee = Expr.Op op; args; attrs } ->
-        let rs = List.map go args in
-        let needs_values =
-          match Nimble_shape.Shape_func.classify ~name:op ~attrs with
-          | Nimble_shape.Shape_func.Site_static -> false
-          | Nimble_shape.Shape_func.Site_proven _ -> true
-          | site ->
-              err "%s shape func: unproven dynamic member %s (%s)" name op
-                (Nimble_shape.Shape_func.site_to_string site)
-        in
-        let inputs =
-          List.concat_map
-            (fun (shapes, data) ->
-              if needs_values then
-                match data with
-                | Some d -> List.map Nimble_shape.Shape_func.with_data (Lazy.force d)
-                | None -> err "%s shape func: %s needs a value that is unavailable" name op
-              else List.map Nimble_shape.Shape_func.shape_only shapes)
-            rs
-        in
-        let shapes = Nimble_shape.Shape_func.run op ~attrs inputs in
-        let data =
-          Option.map
-            (fun d -> lazy (Trace.eval_op op ~attrs (Lazy.force d)))
-            (all_data rs)
-        in
-        (shapes, data)
-    | _ -> err "%s shape func: unsupported construct" name
+        let fb = go bound in
+        let s = bind v in
+        let fbody = go body in
+        fun env ->
+          env.(s) <- fb env;
+          fbody env
+    | Expr.Call { callee; args; attrs } ->
+        let fargs = List.map go args and f = call callee attrs in
+        fun env -> f (gather env fargs)
+    | Expr.Global _ | Expr.Op _ | Expr.Ctor _ | Expr.Fn _ | Expr.If _ | Expr.Match _ ->
+        fail "control flow or function values inside a straight-line body"
   in
-  fst (go fn.Expr.body)
+  let body = go fn.Expr.body and size = !n_slots in
+  fun args ->
+    if List.length args <> n_params then
+      fail "expected %d arguments, got %d" n_params (List.length args);
+    let env = Array.make size (Tuple []) in
+    List.iteri (fun i a -> env.(i) <- Leaf a) args;
+    body env
+
+let op_name ~name = function
+  | Expr.Op op -> op
+  | _ -> err "%s: a primitive body may only call operators" name
+
+let lower ?dispatch ~name (fn : Expr.fn) : Tensor.t list -> Tensor.t list =
+  let call callee attrs =
+    let op = op_name ~name callee in
+    let eval ins = outputs (Trace.eval_op op ~attrs ins) in
+    match (op, dispatch) with
+    | "dense", Some d -> (
+        function
+        | [ a; w ] as ins ->
+            let out = Dispatch.run d a w in
+            Trace.record_op "dense" ~attrs ins [ out ];
+            Leaf out
+        | ins -> eval ins)
+    | _ -> eval
+  in
+  let run =
+    compile ~error:(fun s -> Lower_error s) ~name ~const:Fun.id ~call fn
+  in
+  fun args -> leaves (run args)
+
+(* A member's output: its shape, and its value when every input of the
+   member has one. The value is computed only if a later member's shape
+   function reads it; the lazy is made per call, never shared. *)
+type shaped = { shape : Shape.t; data : Tensor.t Lazy.t option }
+
+let shape_func_of_primitive ~name (fn : Expr.fn) : SF.input list -> Shape.t list =
+  let grouped = match fn.Expr.body with Expr.Call _ -> false | _ -> true in
+  let call callee attrs =
+    let op = op_name ~name callee in
+    let site = SF.classify ~name:op ~attrs in
+    let reads_values =
+      match site with
+      | SF.Site_proven _ | SF.Site_dynamic SF.Data_dep -> true
+      | SF.Site_static | SF.Site_dynamic _ | SF.Site_unknown -> false
+    in
+    let arg (x : shaped) =
+      if not reads_values then SF.shape_only x.shape
+      else
+        match x.data with
+        | Some d -> SF.with_data (Lazy.force d)
+        | None -> err "%s: %s needs a value that is unavailable" name op
+    in
+    match site with
+    | SF.Site_dynamic _ when grouped ->
+        fun _ ->
+          err "%s: unproven dynamic member %s (%s)" name op (SF.site_to_string site)
+    | _ ->
+        fun ins ->
+          let shapes = SF.run op ~attrs (List.map arg ins) in
+          let data =
+            if List.for_all (fun x -> Option.is_some x.data) ins then
+              Some
+                (lazy
+                  (Trace.eval_op op ~attrs
+                     (List.map (fun x -> Lazy.force (Option.get x.data)) ins)))
+            else None
+          in
+          outputs
+            (List.mapi
+               (fun i shape ->
+                 { shape; data = Option.map (fun d -> lazy (List.nth (Lazy.force d) i)) data })
+               shapes)
+  in
+  let const t = { shape = Tensor.shape t; data = Some (Lazy.from_val t) } in
+  let run = compile ~error:(fun s -> Lower_error s) ~name ~const ~call fn in
+  let input (i : SF.input) = { shape = i.shape; data = Option.map Lazy.from_val i.data } in
+  fun ins -> List.map (fun x -> x.shape) (leaves (run (List.map input ins)))

@@ -99,13 +99,6 @@ let register_packed st name (impl : unit -> Exe.packed) =
       st.packed_list := impl () :: !(st.packed_list);
       idx
 
-(* The op call at the root of a singleton primitive, for shape functions. *)
-let rec singleton_op (e : Expr.t) : (string * Attrs.t) option =
-  match e with
-  | Expr.Call { callee = Expr.Op name; attrs; _ } -> Some (name, attrs)
-  | Expr.Let (_, _, body) -> singleton_op body
-  | _ -> None
-
 let kernel_of_primitive st (prim : Expr.fn) =
   let name = Fusion.primitive_name prim in
   register_packed st name (fun () ->
@@ -122,49 +115,26 @@ let kernel_of_primitive st (prim : Expr.fn) =
             Some d
         | _ -> None
       in
-      let kernel = Nimble_codegen.Lower.lower ?dispatch ~name prim in
       { Exe.packed_name = name; kind = `Kernel; mode = None;
-        run = Nimble_codegen.Kernel.run kernel; dispatch })
+        run = Nimble_codegen.Lower.lower ?dispatch ~name prim; dispatch })
 
+(* The mode only decides what the shape function receives: the
+   argument values (data-dependent and proven groups) or their shapes. *)
 let shape_func_of_primitive st (prim : Expr.fn) ~(mode : string) =
   let name = Fusion.primitive_name prim ^ "$shape" in
-  let impl (ins : Tensor.t list) : Tensor.t list =
-    let shapes_to_tensors shapes =
-      List.map
-        (fun s -> Tensor.of_int_array ~dtype:Dtype.I64 [| Array.length s |] s)
-        shapes
-    in
-    match mode with
-    | "data_indep" ->
-        let in_shapes = List.map Tensor.to_shape ins in
-        let f = Nimble_codegen.Lower.shape_func_of_primitive ~name prim in
-        shapes_to_tensors (f in_shapes)
-    | "proven" ->
-        (* dominance-proven group: inputs are the primitive's argument
-           values; the composed function forces only the scalar chains the
-           proofs need *)
-        let f = Nimble_codegen.Lower.shape_func_of_primitive_values ~name prim in
-        shapes_to_tensors (f ins)
-    | "data_dep" -> (
-        match singleton_op prim.Expr.body with
-        | Some (op, attrs) ->
-            shapes_to_tensors
-              (Nimble_shape.Shape_func.run op ~attrs
-                 (List.map Nimble_shape.Shape_func.with_data ins))
-        | None -> err "data-dependent shape function on a fused primitive")
-    | "upper_bound" -> (
-        match singleton_op prim.Expr.body with
-        | Some (op, attrs) ->
-            let in_shapes = List.map Tensor.to_shape ins in
-            shapes_to_tensors
-              (Nimble_shape.Shape_func.run op ~attrs
-                 (List.map Nimble_shape.Shape_func.shape_only in_shapes))
-        | None -> err "upper-bound shape function on a fused primitive")
-    | m -> err "unknown shape function mode %s" m
-  in
   register_packed st name (fun () ->
+      let input =
+        match mode with
+        | "proven" | "data_dep" -> Nimble_shape.Shape_func.with_data
+        | "data_indep" | "upper_bound" ->
+            fun t -> Nimble_shape.Shape_func.shape_only (Tensor.to_shape t)
+        | m -> err "unknown shape function mode %s" m
+      in
+      let f = Nimble_codegen.Lower.shape_func_of_primitive ~name prim in
+      let shape_tensor s = Tensor.of_int_array ~dtype:Dtype.I64 [| Array.length s |] s in
       { Exe.packed_name = name; kind = `Shape_func; mode = Some mode;
-        run = impl; dispatch = None })
+        run = (fun ins -> List.map shape_tensor (f (List.map input ins)));
+        dispatch = None })
 
 (* ------------------------------------------------------------------ *)
 (* Function compilation                                                *)

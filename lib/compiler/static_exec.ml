@@ -1,75 +1,30 @@
 (** Static graph executor — the stand-in for TVM's conventional runtime in
     the Table 4 comparison.
 
-    It executes a fused module by walking the dataflow in topological order
-    with direct closure calls: no bytecode dispatch, no shape functions, no
-    dynamic allocation instructions, no device bookkeeping. It only works
-    when the model is static (no control flow, no ADTs) — exactly the
-    limitation the paper ascribes to conventional deep-learning runtimes. *)
+    It runs a fused module's [main] through the same link-time compiler as
+    the VM's kernels ({!Nimble_codegen.Lower.compile}), with each primitive
+    callee resolved to its kernel: no bytecode dispatch, no shape
+    functions, no dynamic allocation instructions, no device bookkeeping.
+    It only works when the model is static (no control flow, no ADTs) —
+    exactly the limitation the paper ascribes to conventional
+    deep-learning runtimes. *)
 
 open Nimble_tensor
 open Nimble_ir
 open Nimble_passes
+module Lower = Nimble_codegen.Lower
 
 exception Static_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Static_error s)) fmt
 
-type step =
-  | Run of {
-      kernel : Nimble_codegen.Kernel.t;
-      arg_slots : int array;
-      out_slot : int;
-    }
-  | Project of { src_slot : int; index : int; out_slot : int }
-  | Tuple_of of { src_slots : int array; out_slot : int }
+type t = Tensor.t list -> Tensor.t Lower.value
 
-type t = {
-  n_slots : int;
-  input_slots : int array;
-  const_slots : (int * Tensor.t) list;
-  steps : step list;
-  result_slot : int;
-}
-
-type value = VT of Tensor.t | VTup of value list
-
-(** Compile a fused module's main function into a static schedule. *)
+(** Compile a fused module's main function into a static runner. *)
 let plan (m : Irmod.t) : t =
-  let fn = Irmod.func_exn m "main" in
-  let slots = Hashtbl.create 64 in
-  let n = ref 0 in
-  let slot_of vid =
-    match Hashtbl.find_opt slots vid with
-    | Some s -> s
-    | None ->
-        let s = !n in
-        incr n;
-        Hashtbl.replace slots vid s;
-        s
-  in
-  let consts = ref [] in
-  let fresh_slot () =
-    let s = !n in
-    incr n;
-    s
-  in
-  let atom_slot = function
-    | Expr.Var v -> slot_of v.Expr.vid
-    | Expr.Const t ->
-        let s = fresh_slot () in
-        consts := (s, t) :: !consts;
-        s
-    | e -> err "static executor: unsupported atom %a" Expr.pp e
-  in
-  let input_slots =
-    Array.of_list (List.map (fun (p : Expr.var) -> slot_of p.Expr.vid) fn.Expr.params)
-  in
-  let steps = ref [] in
-  let rec go (e : Expr.t) : int =
-    match e with
-    | Expr.Let (v, Expr.Call { callee = Expr.Fn prim; args; _ }, body)
-      when Fusion.is_primitive prim ->
+  let call callee _attrs =
+    match callee with
+    | Expr.Fn prim when Fusion.is_primitive prim ->
         (* static shapes: dense lowers to the same residue-specialized
            kernels Nimble's symbolic codegen produces, so the Table 4
            comparison isolates runtime overhead, not kernel quality *)
@@ -78,59 +33,16 @@ let plan (m : Irmod.t) : t =
             Some (Nimble_codegen.Dispatch.create ~num_kernels:8 ())
           else None
         in
-        let kernel =
-          Nimble_codegen.Lower.lower ?dispatch ~name:(Fusion.primitive_name prim) prim
-        in
-        let arg_slots = Array.of_list (List.map atom_slot args) in
-        let out_slot = slot_of v.Expr.vid in
-        steps := Run { kernel; arg_slots; out_slot } :: !steps;
-        go body
-    | Expr.Let (v, Expr.Proj (src, i), body) ->
-        steps :=
-          Project { src_slot = atom_slot src; index = i; out_slot = slot_of v.Expr.vid }
-          :: !steps;
-        go body
-    | Expr.Let (v, Expr.Tuple es, body) ->
-        steps :=
-          Tuple_of
-            { src_slots = Array.of_list (List.map atom_slot es); out_slot = slot_of v.Expr.vid }
-          :: !steps;
-        go body
-    | Expr.Let (v, Expr.Var w, body) ->
-        Hashtbl.replace slots v.Expr.vid (slot_of w.Expr.vid);
-        go body
-    | Expr.Var _ | Expr.Const _ -> atom_slot e
-    | Expr.If _ | Expr.Match _ ->
-        err "static executor cannot run dynamic control flow (use the VM)"
-    | e -> err "static executor: unsupported construct %a" Expr.pp e
+        let kernel = Lower.lower ?dispatch ~name:(Fusion.primitive_name prim) prim in
+        fun args -> Lower.outputs (kernel args)
+    | e -> err "static executor: unsupported callee %a" Expr.pp e
   in
-  let result_slot = go fn.Expr.body in
-  { n_slots = !n; input_slots; const_slots = !consts; steps = List.rev !steps; result_slot }
+  Lower.compile
+    ~error:(fun s -> Static_error s)
+    ~name:"static executor" ~const:Fun.id ~call (Irmod.func_exn m "main")
 
-(** Execute the schedule. *)
+(** Execute the runner on the module's inputs. *)
 let run (t : t) (inputs : Tensor.t list) : Tensor.t =
-  if List.length inputs <> Array.length t.input_slots then
-    err "static executor: expected %d inputs" (Array.length t.input_slots);
-  let env : value option array = Array.make (Stdlib.max 1 t.n_slots) None in
-  List.iteri (fun i x -> env.(t.input_slots.(i)) <- Some (VT x)) inputs;
-  List.iter (fun (s, c) -> env.(s) <- Some (VT c)) t.const_slots;
-  let get s =
-    match env.(s) with Some v -> v | None -> err "static executor: empty slot %d" s
-  in
-  let get_t s = match get s with VT x -> x | VTup _ -> err "expected tensor" in
-  List.iter
-    (fun step ->
-      match step with
-      | Run { kernel; arg_slots; out_slot } -> (
-          let args = Array.to_list (Array.map get_t arg_slots) in
-          match Nimble_codegen.Kernel.run kernel args with
-          | [ out ] -> env.(out_slot) <- Some (VT out)
-          | outs -> env.(out_slot) <- Some (VTup (List.map (fun o -> VT o) outs)))
-      | Project { src_slot; index; out_slot } -> (
-          match get src_slot with
-          | VTup vs -> env.(out_slot) <- Some (List.nth vs index)
-          | VT _ -> err "projection from tensor")
-      | Tuple_of { src_slots; out_slot } ->
-          env.(out_slot) <- Some (VTup (Array.to_list (Array.map get src_slots))))
-    t.steps;
-  get_t t.result_slot
+  match t inputs with
+  | Lower.Leaf x -> x
+  | Lower.Tuple _ -> err "static executor: expected a tensor result"

@@ -97,31 +97,9 @@ let price ~platform ~framework ?(launch_per_op = true) (events : Trace.event lis
 
 (** [estimate ~platform ~framework ?launch_per_op f] runs [f ()] under the
     cost model and returns its result and the latency breakdown. *)
-let estimate ~platform ~framework ?(launch_per_op = true) (f : unit -> 'a) :
-    'a * breakdown =
-  let st =
-    {
-      platform;
-      framework;
-      launch_per_op;
-      kernel_s = 0.0;
-      launch_s = 0.0;
-      host_s = 0.0;
-      transfer_s = 0.0;
-      kernels = 0;
-      events = Hashtbl.create 16;
-    }
-  in
-  let result = Trace.with_listener (listener st) f in
-  ( result,
-    {
-      kernel_s = st.kernel_s;
-      launch_s = st.launch_s;
-      host_s = st.host_s;
-      transfer_s = st.transfer_s;
-      kernels = st.kernels;
-      events = Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.events [];
-    } )
+let estimate ~platform ~framework ?launch_per_op (f : unit -> 'a) : 'a * breakdown =
+  let result, events = record f in
+  (result, price ~platform ~framework ?launch_per_op events)
 
 (** Estimated latency in seconds. *)
 let latency ~platform ~framework ?launch_per_op f =

@@ -45,10 +45,19 @@ let empty ?(dtype = Dtype.F32) shape =
 (** An integer element of dtype [dt] as stored: wrapped for U8. *)
 let clamp dt v = if dt = Dtype.U8 then v land 0xff else v
 
+(* An integer tensor filled with ±infinity holds the extreme integer of
+   that sign ([int_of_float] of an infinity is unspecified), so a max or
+   min reduction's starting value is its identity at every dtype. *)
 let fill_float t v =
   (match t.buf with
   | Floats b -> Array.fill b 0 (Array.length b) v
-  | Ints b -> Array.fill b 0 (Array.length b) (clamp t.dtype (int_of_float v)));
+  | Ints b ->
+      let i =
+        if v = Float.infinity then max_int
+        else if v = Float.neg_infinity then min_int
+        else int_of_float v
+      in
+      Array.fill b 0 (Array.length b) (clamp t.dtype i));
   t
 
 let full ?(dtype = Dtype.F32) shape v = fill_float (empty ~dtype shape) v

@@ -91,8 +91,10 @@ let test_lower_fused_primitive () =
   let kernel = Lower.lower ~name:"k" prim in
   let input = Tensor.randn rng [| 3; 6 |] in
   (* constants become primitive parameters during fusion *)
-  let out = Kernel.run1 kernel [ input; w ] in
-  Alcotest.check tensor_eq "fused dense+relu" (Ops_elem.relu (Ops_matmul.dense input w)) out
+  match kernel [ input; w ] with
+  | [ out ] ->
+      Alcotest.check tensor_eq "fused dense+relu" (Ops_elem.relu (Ops_matmul.dense input w)) out
+  | outs -> Alcotest.failf "expected one output, got %d" (List.length outs)
 
 let test_lower_wrong_arity_rejected () =
   let x = Expr.fresh_var ~ty:(Ty.tensor_of_shape [| 2 |]) "x" in
@@ -100,7 +102,7 @@ let test_lower_wrong_arity_rejected () =
   let kernel = Lower.lower ~name:"k" prim in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Kernel.run kernel []);
+       ignore (kernel []);
        false
      with Lower.Lower_error _ -> true)
 
@@ -115,11 +117,10 @@ let test_composed_shape_function () =
             Expr.Const (Tensor.zeros [| 5 |]) ] ]
   in
   let prim = primitive_of body [ x ] in
-  Alcotest.(check bool) "all data independent" true (Lower.all_data_independent prim);
   let sf = Lower.shape_func_of_primitive ~name:"k" prim in
   (* primitive params: (x, w_const, bias_const) *)
   Alcotest.(check (list (array int))) "composed" [ [| 7; 5 |] ]
-    (sf [ [| 7; 6 |]; [| 5; 6 |]; [| 5 |] ])
+    (sf (List.map Nimble_shape.Shape_func.shape_only [ [| 7; 6 |]; [| 5; 6 |]; [| 5 |] ]))
 
 (* ---------------------------- tuner ---------------------------- *)
 

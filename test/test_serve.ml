@@ -253,6 +253,47 @@ let test_concurrent_bitwise () =
   Alcotest.(check bool) "histogram populated" true (s.Stats.s_batch_hist <> []);
   Alcotest.(check bool) "frames reused" true (s.Stats.s_frame_reuses > 0)
 
+(* ------------- one executable on several domains at once ------------- *)
+
+(* Serve workers share one executable's packed functions across domains.
+   Three domains, each with its own interpreter over every shared
+   executable, run zoo bert, treelstm and posenc sample inputs over and
+   over, each domain starting at a different input so that different
+   and identical packed functions overlap; every output must be bitwise
+   what a sequential run gives. posenc's proven shape function evaluates
+   values at shape-function time, so it is among them. *)
+let test_shared_exe_domains () =
+  let cases =
+    List.concat_map
+      (fun name ->
+        let m = Option.get (Nimble_workloads.Zoo.find name) in
+        let exe = Nimble.compile (m.build ()) in
+        List.map (fun seq -> (Fmt.str "%s seq=%d" name seq, exe, m.sample_input ~seq)) [ 3; 12 ])
+      [ "bert"; "treelstm"; "posenc" ]
+  in
+  let run vm x = Obj.to_tensor (Interp.invoke vm [ x ]) in
+  let reference = List.map (fun (_, exe, x) -> run (Interp.create exe) x) cases in
+  let n = List.length cases and rounds = 4 in
+  let worker d () =
+    let vms = Array.of_list (List.map (fun (_, exe, _) -> Interp.create exe) cases) in
+    let xs = Array.of_list cases in
+    List.init (rounds * n) (fun k ->
+        let i = (k + (d * 2)) mod n in
+        let _, _, x = xs.(i) in
+        (i, run vms.(i) x))
+  in
+  let domains = List.init 3 (fun d -> Domain.spawn (worker d)) in
+  List.iteri
+    (fun d results ->
+      List.iter
+        (fun (i, out) ->
+          let label, _, _ = List.nth cases i in
+          Alcotest.check tensor_bitwise
+            (Fmt.str "domain %d: %s" d label)
+            (List.nth reference i) out)
+        results)
+    (List.map Domain.join domains)
+
 (* -------------------- backpressure and timeouts -------------------- *)
 
 let test_engine_backpressure () =
@@ -469,6 +510,8 @@ let () =
         [
           Alcotest.test_case "concurrent batched == sequential (bitwise)" `Quick
             test_concurrent_bitwise;
+          Alcotest.test_case "one executable on three domains (bitwise)" `Quick
+            test_shared_exe_domains;
           Alcotest.test_case "full queue rejects" `Quick test_engine_backpressure;
           Alcotest.test_case "deadline timeouts" `Quick test_engine_timeout;
           Alcotest.test_case "batches form from the backlog" `Quick

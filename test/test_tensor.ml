@@ -180,6 +180,19 @@ let test_reductions () =
   Alcotest.(check (float 1e-6)) "max" 6.0 (Tensor.item (Ops_reduce.max t2x3));
   Alcotest.(check (float 1e-6)) "min" 1.0 (Tensor.item (Ops_reduce.min t2x3))
 
+(* An integer axis max or min starts from the dtype's identity, not from
+   0, and agrees with the whole-tensor reduction. *)
+let test_integer_axis_max_min () =
+  let ints dtype xs = Tensor.of_int_array ~dtype [| Array.length xs |] xs in
+  let check name want got =
+    Alcotest.(check (list int)) name [ want ] (Array.to_list (Tensor.to_int_array got))
+  in
+  check "i64 max axis0" (-3) (Ops_reduce.max ~axis:0 (ints Dtype.I64 [| -3; -5 |]));
+  check "i64 max all" (-3) (Ops_reduce.max (ints Dtype.I64 [| -3; -5 |]));
+  check "i64 min axis0" 3 (Ops_reduce.min ~axis:0 (ints Dtype.I64 [| 3; 5 |]));
+  check "u8 min axis0" 3 (Ops_reduce.min ~axis:0 (ints Dtype.U8 [| 3; 5 |]));
+  check "u8 max axis0" 5 (Ops_reduce.max ~axis:0 (ints Dtype.U8 [| 3; 5 |]))
+
 let test_argmax () =
   let out = Ops_reduce.argmax ~axis:1 t2x3 in
   Alcotest.(check (list int)) "argmax" [ 2; 2 ] (Array.to_list (Tensor.to_int_array out));
@@ -655,6 +668,7 @@ let () =
       ( "reduce",
         [
           Alcotest.test_case "sum/mean/max/min" `Quick test_reductions;
+          Alcotest.test_case "integer axis max/min" `Quick test_integer_axis_max_min;
           Alcotest.test_case "argmax" `Quick test_argmax;
         ] );
       ( "shape_ops",

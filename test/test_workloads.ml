@@ -182,6 +182,46 @@ let test_outputs_cover_zoo () =
     (List.map (fun (m : Zoo.model) -> m.name) Zoo.models)
     (List.map fst output_golden)
 
+(* MD5 of the operator events perfsim prices for one VM run of a zoo
+   model's seq-7 sample input: each event's operator, input and output
+   shapes, flops and bytes, in order. Kernels and composed shape
+   functions emit them (posenc's proven group evaluates its scalar chain
+   at shape-function time), so the trace-priced cells of Tables 1-3
+   move only if one of these does. *)
+let events_golden =
+  [
+    ("lstm", "6bc67f36ad028541d03570176b48e504");
+    ("treelstm", "b1e576109210f4135e77432357c32fa0");
+    ("bert", "7438079539a1bf4e9b2582224dc73a1a");
+    ("posenc", "d92f88cd23dc9d6492ab2118509dc30d");
+  ]
+
+let events_digest events =
+  let shapes = Fmt.(list ~sep:(any ",") Shape.pp) in
+  let b = Buffer.create 4096 in
+  List.iter
+    (function
+      | Nimble_codegen.Trace.Op_exec { op; in_shapes; out_shapes; flops; bytes } ->
+          Buffer.add_string b
+            (Fmt.str "%s(%a)->(%a) %d %d;" op shapes in_shapes shapes out_shapes flops bytes)
+      | Nimble_codegen.Trace.Framework { kind; amount } ->
+          Buffer.add_string b (Fmt.str "%s*%d;" kind amount))
+    events;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_events_pinned name () =
+  let m = Option.get (Zoo.find name) in
+  let vm = Nimble_compiler.Nimble.(vm (compile (m.build ()))) in
+  let input = m.sample_input ~seq:7 in
+  let result, events =
+    Nimble_perfsim.Estimator.record (fun () -> Interp.invoke_result vm [ input ])
+  in
+  (match result with
+  | Ok _ -> ()
+  | Error fl -> Alcotest.failf "%a" Interp.pp_failure fl);
+  Alcotest.(check string) "event stream MD5" (List.assoc name events_golden)
+    (events_digest events)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -212,4 +252,8 @@ let () =
         :: List.map
              (fun (name, _) -> Alcotest.test_case name `Quick (test_output_pinned name))
              output_golden );
+      ( "zoo perfsim event digests",
+        List.map
+          (fun (name, _) -> Alcotest.test_case name `Quick (test_events_pinned name))
+          events_golden );
     ]
