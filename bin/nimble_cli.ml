@@ -1065,7 +1065,10 @@ let parse_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Serialize executable here")
   in
   let run path output =
-    let m = Nimble_ir.Text_format.parse_module (read_file path) in
+    let m =
+      try Nimble_ir.Text_format.parse_module (read_file path)
+      with Nimble_ir.Text_format.Parse_error msg -> die "%s: parse error: %s" path msg
+    in
     let exe, report = Nimble.compile_with_report m in
     Fmt.pr "parsed and compiled %s@.%a@." path Nimble.pp_report report;
     (match Nimble_analysis.Verifier.verify exe with

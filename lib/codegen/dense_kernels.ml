@@ -1,176 +1,20 @@
-(** Tiled dense kernels for symbolic codegen (paper §4.5, Figure 3).
-
-    The symbolic dimension is [m] (e.g. BERT's sequence length); the tiling
-    factor is 8. Three codegen strategies are modelled, and their cost
-    differences are *real* — these closures run on the host CPU:
-
-    - {b static}: [m] known at compile time, so the loop splits into
-      [m / 8] full tiles handled by an unrolled 8-row microkernel plus a
-      residue tail of known length, with no checks anywhere.
-    - {b residue dispatch}: [m = 8q + r]; one kernel is generated per covered
-      residue [r]. Each runs the unrolled microkernel for [q] tiles and a
-      check-free tail for its fixed [r]. At runtime a dispatcher picks the
-      kernel from [m mod 8] (see {!Dispatch}).
-    - {b guarded} (no dispatch): one kernel for all [m]. The compiler cannot
-      prove tile fullness, so the row-validity guard stays in the innermost
-      loop — exactly the boundary-check cost the paper measures. *)
-
+(** Dense schedules for symbolic codegen (paper §4.5, Figure 3). Each is
+    one call of the matrix-product driver, {!Ops_matmul.dense_with}, so
+    they differ in how they split rows, never in the bits they return. *)
 
 open Nimble_tensor
-module Parallel = Nimble_parallel.Parallel
 
 let tile = 8
 
-(* Row-tiles write disjoint output rows, so the tile loop partitions
-   over the domain pool bitwise-identically to the sequential sweep.
-   Grain keeps at least [default_min_work] flops per chunk. *)
-let tile_grain ~rows_per_tile ~n ~k =
-  Parallel.grain_for
-    ~work_per_item:(rows_per_tile * n * k)
-    ~min_work:Parallel.default_min_work
-
-(* Unrolled microkernel: rows [i0, i0+8) of out += a * w^T, full tile.
-   Eight unrolled accumulators and, crucially, each weight element is loaded
-   once and reused across all eight rows — the data reuse register tiling
-   buys when the tile is provably full. *)
-let micro8 (a : Tensor.f32_buf) (w : Tensor.f32_buf) (c : Tensor.f32_buf) ~i0 ~n ~k =
-  let a0 = i0 * k in
-  let a1 = a0 + k and a2 = a0 + (2 * k) and a3 = a0 + (3 * k) in
-  let a4 = a0 + (4 * k) and a5 = a0 + (5 * k) and a6 = a0 + (6 * k) and a7 = a0 + (7 * k) in
-  for j = 0 to n - 1 do
-    let wrow = j * k in
-    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-    let s4 = ref 0.0 and s5 = ref 0.0 and s6 = ref 0.0 and s7 = ref 0.0 in
-    for p = 0 to k - 1 do
-      let wv = Array.unsafe_get w (wrow + p) in
-      s0 := !s0 +. (Array.unsafe_get a (a0 + p) *. wv);
-      s1 := !s1 +. (Array.unsafe_get a (a1 + p) *. wv);
-      s2 := !s2 +. (Array.unsafe_get a (a2 + p) *. wv);
-      s3 := !s3 +. (Array.unsafe_get a (a3 + p) *. wv);
-      s4 := !s4 +. (Array.unsafe_get a (a4 + p) *. wv);
-      s5 := !s5 +. (Array.unsafe_get a (a5 + p) *. wv);
-      s6 := !s6 +. (Array.unsafe_get a (a6 + p) *. wv);
-      s7 := !s7 +. (Array.unsafe_get a (a7 + p) *. wv)
-    done;
-    Array.unsafe_set c ((i0 * n) + j) !s0;
-    Array.unsafe_set c (((i0 + 1) * n) + j) !s1;
-    Array.unsafe_set c (((i0 + 2) * n) + j) !s2;
-    Array.unsafe_set c (((i0 + 3) * n) + j) !s3;
-    Array.unsafe_set c (((i0 + 4) * n) + j) !s4;
-    Array.unsafe_set c (((i0 + 5) * n) + j) !s5;
-    Array.unsafe_set c (((i0 + 6) * n) + j) !s6;
-    Array.unsafe_set c (((i0 + 7) * n) + j) !s7
-  done
-
-(* Check-free tail: [rows] < 8 trailing rows, extent known to the caller. *)
-let tail_rows (a : Tensor.f32_buf) (w : Tensor.f32_buf) (c : Tensor.f32_buf) ~i0 ~rows ~n ~k =
-  for i = i0 to i0 + rows - 1 do
-    let arow = i * k and crow = i * n in
-    for j = 0 to n - 1 do
-      let wrow = j * k in
-      let s = ref 0.0 in
-      for p = 0 to k - 1 do
-        s := !s +. (Array.unsafe_get a (arow + p) *. Array.unsafe_get w (wrow + p))
-      done;
-      Array.unsafe_set c (crow + j) !s
-    done
-  done
-
-let bufs_exn a w out =
-  match (a.Tensor.buf, w.Tensor.buf, out.Tensor.buf) with
-  | Tensor.Floats ba, Tensor.Floats bw, Tensor.Floats bc -> (ba, bw, bc)
-  | _ -> Tensor.type_err "dense kernels require floating-point operands"
-
-let check_dims a w =
-  let ds = Tensor.shape a and ws = Tensor.shape w in
-  if Shape.rank ds <> 2 || Shape.rank ws <> 2 || ds.(1) <> ws.(1) then
-    Tensor.type_err "dense: bad operand shapes %a %a" Shape.pp ds Shape.pp ws;
-  (ds.(0), ws.(0), ds.(1))
-
-(** Residue-specialized kernel: correct for any [m] with [m mod 8 = residue]. *)
 let residue_kernel ~residue a w =
-  let m, n, k = check_dims a w in
-  if m mod tile <> residue then
-    Tensor.type_err "dense dispatch: kernel for residue %d called with m=%d" residue m;
-  let out = Tensor.empty ~dtype:Dtype.F32 [| m; n |] in
-  let ba, bw, bc = bufs_exn a w out in
-  let q = m / tile in
-  Parallel.parallel_for ~grain:(tile_grain ~rows_per_tile:tile ~n ~k) q
-    (fun lo hi ->
-      for blk = lo to hi - 1 do
-        micro8 ba bw bc ~i0:(blk * tile) ~n ~k
-      done);
-  if residue > 0 then tail_rows ba bw bc ~i0:(q * tile) ~rows:residue ~n ~k;
-  out
+  (match Tensor.shape a with
+  | [| m; _ |] when m mod tile <> residue ->
+      Tensor.type_err "dense dispatch: kernel for residue %d called with m=%d" residue m
+  | _ -> ());
+  Ops_matmul.dense_with (Blocked tile) a w
 
-(** Fully static kernel: specializes to a compile-time [m]. *)
-let static_kernel ~m_static a w =
-  let m, _, _ = check_dims a w in
-  if m <> m_static then
-    Tensor.type_err "dense static kernel compiled for m=%d called with m=%d" m_static m;
-  residue_kernel ~residue:(m_static mod tile) a w
+let guarded_kernel a w = Ops_matmul.dense_with (Row_by_row tile) a w
 
-(** Guarded symbolic kernel (no dispatch): tile fullness cannot be proven
-    for a symbolic [m], so the row-validity guard stays in the tile body.
-    The guard defeats the 8-row unrolling — the loop nest the compiler can
-    still emit clamps each tile (`min`) and processes its rows one at a
-    time, re-streaming every weight element once *per row* instead of once
-    per tile. The lost register-tile reuse plus the per-tile clamping is
-    exactly the boundary-handling cost Figure 3 measures. *)
-let guarded_kernel a w =
-  let m, n, k = check_dims a w in
-  let out = Tensor.empty ~dtype:Dtype.F32 [| m; n |] in
-  let ba, bw, bc = bufs_exn a w out in
-  let nblocks = (m + tile - 1) / tile in
-  Parallel.parallel_for ~grain:(tile_grain ~rows_per_tile:tile ~n ~k) nblocks
-    (fun lo hi ->
-      for blk = lo to hi - 1 do
-        let i0 = blk * tile in
-        let rows = Stdlib.min tile (m - i0) in
-        (* un-tiled fallback body: one row at a time, no cross-row reuse *)
-        tail_rows ba bw bc ~i0 ~rows ~n ~k
-      done);
-  out
+let tiled_kernel ~tile_m a w = Ops_matmul.dense_with (Blocked tile_m) a w
 
-(** Microkernels with other row-tile widths, for the tuner's search space. *)
-let tiled_kernel ~tile_m a w =
-  let m, n, k = check_dims a w in
-  let out = Tensor.empty ~dtype:Dtype.F32 [| m; n |] in
-  let ba, bw, bc = bufs_exn a w out in
-  if tile_m = tile then begin
-    let q = m / tile in
-    Parallel.parallel_for ~grain:(tile_grain ~rows_per_tile:tile ~n ~k) q
-      (fun lo hi ->
-        for blk = lo to hi - 1 do
-          micro8 ba bw bc ~i0:(blk * tile) ~n ~k
-        done);
-    tail_rows ba bw bc ~i0:(q * tile) ~rows:(m mod tile) ~n ~k
-  end
-  else begin
-    let q = m / tile_m in
-    Parallel.parallel_for ~grain:(tile_grain ~rows_per_tile:tile_m ~n ~k) q
-      (fun lo hi ->
-        for blk = lo to hi - 1 do
-          let i0 = blk * tile_m in
-          for j = 0 to n - 1 do
-            let wrow = j * k in
-            let acc = Array.make tile_m 0.0 in
-            for p = 0 to k - 1 do
-              let wv = Array.unsafe_get bw (wrow + p) in
-              for r = 0 to tile_m - 1 do
-                acc.(r) <- acc.(r) +. (Array.unsafe_get ba (((i0 + r) * k) + p) *. wv)
-              done
-            done;
-            for r = 0 to tile_m - 1 do
-              Array.unsafe_set bc (((i0 + r) * n) + j) acc.(r)
-            done
-          done
-        done);
-    tail_rows ba bw bc ~i0:(q * tile_m) ~rows:(m mod tile_m) ~n ~k
-  end;
-  out
-
-(** A deliberately different schedule standing in for a vendor library
-    (cuDNN/MKL in the paper): the dispatch function may route to it when
-    profiling says it is faster. *)
 let extern_library_kernel a w = Ops_matmul.dense a w

@@ -127,13 +127,13 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
     verify_diags := !verify_diags @ ds
   in
   (* time a transform returning a new module *)
-  let timed name f m =
-    let before = ir_size m in
+  let timed_from before name f m =
     let t0 = Unix.gettimeofday () in
     let m' = f m in
     record name (Unix.gettimeofday () -. t0) before (ir_size m');
     m'
   in
+  let timed name f m = timed_from (ir_size m) name f m in
   (* time a pass that mutates the module in place and returns statistics *)
   let timed_stats name f m =
     let before = ir_size m in
@@ -143,8 +143,10 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
     r
   in
   (* ANF first: it is the only pass that understands builder DAG sharing;
-     everything after walks linear let-chains. *)
-  let m = timed "anf" Anf.run m in
+     everything after walks linear let-chains. So the builder's module is
+     sized by physical identity: a tree walk of its DAG grows ~8x per
+     BERT layer. *)
+  let m = timed_from (Anf.dag_size m) "anf" Anf.run m in
   ignore (timed_stats "inline" (fun m -> Inline.run m) m);
   let m = timed "anf" Anf.run m in
   let m = timed "cse" Cse.run m in

@@ -43,7 +43,10 @@ val default_options : options
     and the IR-size delta it caused. IR size is the total expression-node
     count over the module's functions ({!ir_size}) — fusion grows it,
     DCE/CSE shrink it, pure analyses (inference, inlining stats) leave it
-    unchanged. *)
+    unchanged. The one exception is the first ["anf"] row's
+    [nodes_before]: the builder's module is a DAG, so it counts each
+    shared node once, by physical identity, as ANF's memo does
+    ({!Nimble_passes.Anf.dag_size}). *)
 type pass_stat = {
   pass_name : string;  (** e.g. ["anf"], ["fusion"]; ["dce"] appears twice *)
   pass_seconds : float;  (** wall-clock time of the pass *)

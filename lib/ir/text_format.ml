@@ -113,8 +113,14 @@ let tokenize (src : string) : token list =
       let _ = read_while (fun ch -> (ch >= '0' && ch <= '9') || ch = '.' || ch = 'e' || ch = 'E' || ch = '-' || ch = '+') !i in
       let lit = String.sub src start (!i - start) in
       if String.contains lit '.' || String.contains lit 'e' || String.contains lit 'E'
-      then emit (FLOAT (float_of_string lit))
-      else emit (INT (int_of_string lit))
+      then
+        match float_of_string_opt lit with
+        | Some v -> emit (FLOAT v)
+        | None -> err "malformed float literal %s" lit
+      else
+        match int_of_string_opt lit with
+        | Some v -> emit (INT v)
+        | None -> err "integer literal %s out of range" lit
     end
     else if (c >= 'a' && c <= 'z') || c = '_' then
       emit (LIDENT (read_while is_ident_char !i))
@@ -197,7 +203,8 @@ let rec parse_ty p : Ty.t =
       let dims = ref [] in
       while current p <> RPAREN do
         (match current p with
-        | INT v -> advance p; dims := Dim.static v :: !dims
+        | INT v when v >= 0 -> advance p; dims := Dim.static v :: !dims
+        | INT v -> err "negative dimension %d" v
         | QUESTION -> advance p; dims := Dim.Any :: !dims
         | t -> err "expected dimension, found %a" pp_token t);
         if current p = COMMA then advance p

@@ -161,6 +161,21 @@ let run (m : Irmod.t) : Irmod.t =
   Irmod.map_funcs m (fun _name fn -> convert_fn fn);
   m
 
+(** Distinct expression nodes across a module's functions, a node the
+    builder shares counted once: the module's size before conversion. A
+    tree walk ({!Expr.size}) counts a shared node once per path to it. *)
+let dag_size (m : Irmod.t) : int =
+  let seen = Memo.create () and count = ref 0 in
+  let rec visit e =
+    if Memo.find seen e = None then begin
+      Memo.add seen e e;
+      incr count;
+      List.iter visit (Expr.children e)
+    end
+  in
+  List.iter (fun (_, fn) -> visit (Expr.Fn fn)) (Irmod.functions m);
+  !count
+
 (** Validate ANF: every let RHS is a single operation over atoms; useful in
     tests and as a pass precondition. *)
 let rec is_anf (e : Expr.t) : bool =

@@ -22,5 +22,11 @@ val convert_fn : Expr.fn -> Expr.fn
 (** Convert every function in a module. *)
 val run : Irmod.t -> Irmod.t
 
+(** Distinct expression nodes across a module's functions, each node the
+    builder shares counted once by physical identity, as conversion's memo
+    sees them. A tree walk ({!Expr.size}) counts a shared node once per
+    path to it, which grows ~8x per BERT layer. *)
+val dag_size : Irmod.t -> int
+
 (** Validate ANF shape (pass precondition; used by tests). *)
 val is_anf : Expr.t -> bool

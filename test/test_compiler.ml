@@ -59,6 +59,49 @@ let test_dynamic_dense () =
       Alcotest.check tensor_eq (Fmt.str "rows=%d" rows) expected out)
     [ 1; 3; 8; 13; 16; 21 ]
 
+(* --- integer dense: every dispatch setting accepts it, same bits ------- *)
+let test_integer_dense_dispatched () =
+  let x = Expr.fresh_var ~ty:(Ty.tensor_of_shape ~dtype:Dtype.I64 [| 2; 4 |]) "x" in
+  let w =
+    Tensor.of_int_array ~dtype:Dtype.I64 [| 3; 4 |]
+      [| 1; 2; 3; 4; -1; 0; 1; 0; 2; 2; 2; 2 |]
+  in
+  (* passes rewrite a module in place: build one per compile *)
+  let m () = Irmod.of_main (Expr.fn_def [ x ] (Expr.op_call "dense" [ Expr.Var x; Expr.Const w ])) in
+  let input = Tensor.of_int_array ~dtype:Dtype.I64 [| 2; 4 |] [| 1; -2; 3; -4; 5; 6; -7; 8 |] in
+  let run options = Interp.run_tensors (Nimble.vm (Nimble.compile ~options (m ()))) [ input ] in
+  let plain = run { Nimble.default_options with dense_dispatch = None } in
+  Alcotest.(check (array (float 0.0))) "undispatched"
+    [| -10.; 2.; -4.; 28.; -12.; 24. |] (Tensor.to_float_array plain);
+  Alcotest.check (Alcotest.testable Tensor.pp Tensor.equal) "dispatched = undispatched"
+    plain (run Nimble.default_options)
+
+(* --- a 12-layer BERT compiles: the builder's DAG is sized by identity --- *)
+let test_deep_bert_compiles () =
+  let module Bert = Nimble_models.Bert in
+  let w =
+    Bert.init_weights
+      { Bert.num_layers = 12; hidden_size = 16; num_heads = 2; ffn_size = 32; vocab_size = 50 }
+  in
+  let exe, report = Nimble.compile_with_report (Bert.ir_module w) in
+  (match report.Nimble.passes with
+  | first :: second :: _ ->
+      Alcotest.(check string) "first pass" "anf" first.Nimble.pass_name;
+      (* ANF keeps one binding per shared node, so the DAG holds at least
+         as many nodes as one tree walk of the ANF output *)
+      Alcotest.(check bool)
+        (Fmt.str "DAG size %d within ANF's size %d" first.Nimble.nodes_before
+           first.Nimble.nodes_after)
+        true
+        (first.Nimble.nodes_before > 0
+        && first.Nimble.nodes_before <= 2 * first.Nimble.nodes_after);
+      Alcotest.(check int) "later rows count the ANF tree" first.Nimble.nodes_after
+        second.Nimble.nodes_before
+  | _ -> Alcotest.fail "no pass rows");
+  let x = Bert.embed w (Bert.random_ids w ~len:5) in
+  Alcotest.check tensor_eq "12 layers run" (Bert.reference w x)
+    (Interp.run_tensors (Nimble.vm exe) [ x ])
+
 (* --- control flow: if mean(x) > 0 then x+1 else x-1 -------------------- *)
 let control_flow_module () =
   let x = Expr.fresh_var ~ty:(static_ty [ 6 ]) "x" in
@@ -204,6 +247,8 @@ let () =
         [
           Alcotest.test_case "static elementwise graph" `Quick test_static_e2e;
           Alcotest.test_case "dynamic dense (Any rows)" `Quick test_dynamic_dense;
+          Alcotest.test_case "integer dense, dispatched" `Quick test_integer_dense_dispatched;
+          Alcotest.test_case "12-layer BERT compiles" `Quick test_deep_bert_compiles;
           Alcotest.test_case "control flow" `Quick test_control_flow;
           Alcotest.test_case "ADT recursion (list sum)" `Quick test_adt_recursion;
           Alcotest.test_case "data-dependent shape (unique)" `Quick test_data_dependent;

@@ -598,6 +598,70 @@ let prop_strided_matches_index_loops =
       | Ok _, Error e -> QCheck.Test.fail_reportf "only the index loops raise: %s" e
       | Error e, Ok _ -> QCheck.Test.fail_reportf "only the strided loop raises: %s" e)
 
+(* ------------------ matmul driver = old loops ------------------ *)
+
+module Dk = Nimble_codegen.Dense_kernels
+
+(* Every entry point of the matmul driver against the loop it replaced
+   (Matmul_loops), on one random shape: [m] up to 70, skewed to 0, 1,
+   below 8 and multiples of 8 and their neighbours; [n] never a multiple
+   of four; [k] including 0 and 1; batch 1-5; one case in four above the
+   parallel grain. Integer operands hold values a float holds exactly;
+   the Dense_kernels loops rejected them, so there the oracle is the old
+   [dense]. *)
+let matmul_cases seed =
+  let r = Rng.create ~seed in
+  let pick l = List.nth l (Rng.int r (List.length l)) in
+  let m =
+    pick [ 0; 1; 1; 2; 3; 5; 7; 8; 9; 15; 16; 17; 23; 24; 25; 39; 40; 41; 63; 64; 65; 70; Rng.int r 71 ]
+  in
+  let n, k =
+    if Rng.int r 4 = 0 then (pick [ 129; 131 ], pick [ 127; 129 ])
+    else (pick [ 1; 2; 3; 5; 6; 7; 9; 10; 13; 31; 33 ], pick [ 0; 1; 2; 3; 7; 8; 17; 32; 33 ])
+  in
+  let batch = 1 + Rng.int r 5 in
+  let ints = Rng.int r 3 = 0 in
+  let tensor shape =
+    let vals =
+      Array.init (Shape.numel shape) (fun _ ->
+          if ints then float_of_int (Rng.int r 2001 - 1000) else Rng.normal r)
+    in
+    Tensor.of_float_array ~dtype:(if ints then Dtype.I64 else Dtype.F32) shape vals
+  in
+  let a = tensor [| m; k |] and w = tensor [| n; k |] and b = tensor [| k; n |] in
+  let bias = tensor [| n |] and ba = tensor [| batch; m; k |] and bb = tensor [| batch; k; n |] in
+  let kernel f = if ints then Matmul_loops.dense a w else f a w in
+  let label = Fmt.str "m=%d n=%d k=%d batch=%d %s" m n k batch (if ints then "i64" else "f32") in
+  ( label,
+    [
+      ("dense", Ops_matmul.dense a w, Matmul_loops.dense a w);
+      ("matmul", Ops_matmul.matmul a b, Matmul_loops.matmul a b);
+      ("batch_matmul", Ops_matmul.batch_matmul ba bb, Matmul_loops.batch_matmul ba bb);
+      ("dense_bias", Ops_matmul.dense_bias a w bias, Matmul_loops.dense_bias a w bias);
+      ( "residue",
+        Dk.residue_kernel ~residue:(m mod 8) a w,
+        kernel (Matmul_loops.residue_kernel ~residue:(m mod 8)) );
+      ("guarded", Dk.guarded_kernel a w, kernel Matmul_loops.guarded_kernel);
+      ("extern", Dk.extern_library_kernel a w, kernel Matmul_loops.extern_library_kernel);
+    ]
+    @ List.map
+        (fun tile_m ->
+          ( Fmt.str "tuned tile_m=%d" tile_m,
+            Dk.tiled_kernel ~tile_m a w,
+            kernel (Matmul_loops.tiled_kernel ~tile_m) ))
+        [ 1; 2; 3; 4; 8; 16; 256 ] )
+
+let prop_matmul_matches_old_loops =
+  QCheck.Test.make ~name:"matmul driver = old loops, bitwise" ~count:200
+    (QCheck.make
+       ~print:(fun seed -> Fmt.str "seed %d: %s" seed (fst (matmul_cases seed)))
+       QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      List.for_all
+        (fun (name, fresh, old) ->
+          bitwise fresh old || QCheck.Test.fail_reportf "%s differs from its old loop" name)
+        (snd (matmul_cases seed)))
+
 (* An integer beyond 2^53 has no exact float: copy and select operators
    move it as an integer. *)
 let test_large_ints_copied_exactly () =
@@ -629,6 +693,7 @@ let props =
       prop_transpose_involution;
       prop_nms_upper_bound;
       prop_strided_matches_index_loops;
+      prop_matmul_matches_old_loops;
     ]
 
 let () =

@@ -116,6 +116,43 @@ let test_parse_errors () =
   bad "bad type" "def @main(%x: Wat[(2)]) { %x }";
   bad "unterminated" "def @main(%x: Tensor[(2), f32]) { relu(%x) "
 
+(* Malformed numbers and dims and a missing [;]: each raises
+   [Parse_error], and [nimble_cli parse] reports it on one line and exits
+   1. *)
+let malformed =
+  [
+    ("float literal 1.0e", "def @main(%x: Tensor[(2), f32]) { add(%x, 1.0e) }");
+    ("dim beyond max_int", "def @main(%x: Tensor[(99999999999999999999999), f32]) { relu(%x) }");
+    ("negative dim", "def @main(%x: Tensor[(-4), f32]) { relu(%x) }");
+    ("missing ;", "def @main(%x: Tensor[(2), f32]) { let %y = relu(%x) relu(%y) }");
+  ]
+
+let test_malformed_literals () =
+  List.iter
+    (fun (what, src) ->
+      Alcotest.(check bool) what true
+        (match T.parse_module src with _ -> false | exception T.Parse_error _ -> true))
+    malformed
+
+let test_cli_parse_errors () =
+  List.iter
+    (fun (what, src) ->
+      let path = Filename.temp_file "nimble_bad" ".nir" in
+      let err = Filename.temp_file "nimble_bad" ".err" in
+      Out_channel.with_open_text path (fun oc -> output_string oc src);
+      let code =
+        Sys.command
+          (Filename.quote_command "../bin/nimble_cli.exe" [ "parse"; path ] ~stdout:"/dev/null"
+             ~stderr:err)
+      in
+      let lines = In_channel.with_open_text err In_channel.input_all |> String.split_on_char '\n' in
+      Sys.remove path;
+      Sys.remove err;
+      Alcotest.(check int) (what ^ ": exit code") 1 code;
+      Alcotest.(check int) (what ^ ": one stderr line") 1
+        (List.length (List.filter (( <> ) "") lines)))
+    malformed
+
 (* variable ids differ between parses; compare with digits stripped *)
 let normalize s =
   String.to_seq s
@@ -181,6 +218,8 @@ let () =
           Alcotest.test_case "adt + recursion" `Quick test_parse_adt_and_recursion;
           Alcotest.test_case "tuples + attrs" `Quick test_parse_tuples_attrs;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "malformed literals" `Quick test_malformed_literals;
+          Alcotest.test_case "cli parse errors exit 1" `Quick test_cli_parse_errors;
         ] );
       ( "roundtrip",
         [
