@@ -1,4 +1,4 @@
-(* Codegen tests: dense kernel variants agree numerically, residue dispatch
+(* Codegen tests: dense kernel variants agree bitwise, residue dispatch
    selects correctly, lowering of fused primitives, composed shape functions,
    the symbolic tuner, and the op-eval kernel library. *)
 
