@@ -1,6 +1,8 @@
 (** Ablations for the design choices called out in DESIGN.md:
 
-    - operator fusion on/off (primitive count, kernel launches, latency);
+    - operator fusion on/off: primitive count, kernel launches and the
+      perfsim estimate, then measured on the host (latency and GC words
+      per inference, for BERT and the zoo Tree-LSTM);
     - heterogeneous device placement: unification + upload caching vs naive
       per-use copies (transfer count and bytes on the simulated GPU);
     - the pad-to-max static reduction vs native dynamism (wasted compute);
@@ -48,6 +50,83 @@ let fusion_ablation () =
     p_on l_on (1e3 *. t_on);
   Fmt.pr "  fusion off: %3d primitives, %4d kernel launches, est. %.2f ms (Intel)@."
     p_off l_off (1e3 *. t_off)
+
+(* [(q1, median, q3)] of [xs]. *)
+let quartiles xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let at q = a.(Stdlib.min (Array.length a - 1) (int_of_float (q *. float (Array.length a)))) in
+  (at 0.25, at 0.5, at 0.75)
+
+(* Minor and major words one call of [f] allocates, over 100 warm calls
+   pinned to the calling domain (so every word is counted there). OCaml
+   5's [Gc.counters] advances only at a minor collection, so a collection
+   is forced at both ends. *)
+let gc_words f =
+  Nimble_parallel.Parallel.pinned_sequential (fun () ->
+      f ();
+      Gc.minor ();
+      let mi0, _, ma0 = Gc.counters () in
+      for _ = 1 to 100 do
+        f ()
+      done;
+      Gc.minor ();
+      let mi1, _, ma1 = Gc.counters () in
+      ((mi1 -. mi0) /. 100.0, (ma1 -. ma0) /. 100.0))
+
+(* Fusion on the host: one model compiled with fusion on and off, their
+   inferences interleaved (the order alternating) so host drift hits both
+   sides alike. *)
+let host_fusion_ablation () =
+  let measure label ~n build input =
+    let side fuse =
+      let exe = Nimble.compile ~options:{ Nimble.default_options with Nimble.fuse } (build ()) in
+      let vm = Nimble.vm exe and ctx = Nimble_vm.Interp.context () in
+      fun () -> ignore (Nimble_vm.Interp.invoke ~ctx vm [ input ])
+    in
+    let on = side true and off = side false in
+    let t_on = Array.make n 0.0 and t_off = Array.make n 0.0 in
+    let time f =
+      let t0 = Unix.gettimeofday () in
+      f ();
+      Unix.gettimeofday () -. t0
+    in
+    on ();
+    off ();
+    for i = 0 to n - 1 do
+      if i mod 2 = 0 then begin
+        t_on.(i) <- time on;
+        t_off.(i) <- time off
+      end
+      else begin
+        t_off.(i) <- time off;
+        t_on.(i) <- time on
+      end
+    done;
+    let row name f ts =
+      let q1, med, q3 = quartiles ts and minor, major = gc_words f in
+      Fmt.pr "    fusion %-3s: %8.3f ms [%.3f, %.3f]  minor %9.0f  major %9.0f words@." name
+        (1e3 *. med) (1e3 *. q1) (1e3 *. q3) minor major
+    in
+    Fmt.pr "  %s, %d inferences a side@." label n;
+    row "on" on t_on;
+    row "off" off t_off;
+    let _, med_on, _ = quartiles t_on and _, med_off, _ = quartiles t_off in
+    Fmt.pr "    on/off median: %.2f@." (med_on /. med_off)
+  in
+  Fmt.pr
+    "@.Ablation: operator fusion on the host (median [quartiles] over interleaved inferences; GC \
+     words per inference at one domain)@.";
+  let w = Bert.init_weights bert_config in
+  let x = Bert.embed w (Bert.random_ids w ~len:32) in
+  measure
+    (Fmt.str "BERT %dx%d, seq 32" bert_config.Bert.num_layers bert_config.Bert.hidden_size)
+    ~n:100
+    (fun () -> Bert.ir_module w)
+    (Nimble_vm.Obj.tensor x);
+  let tree = Option.get (Nimble_workloads.Zoo.find "treelstm") in
+  measure "zoo Tree-LSTM, 12 leaves" ~n:400 tree.Nimble_workloads.Zoo.build
+    (tree.Nimble_workloads.Zoo.sample_input ~seq:12)
 
 let placement_ablation () =
   (* a dynamic dense chain on the simulated GPU target *)
@@ -134,6 +213,7 @@ let tuner_demo () =
 
 let run () =
   fusion_ablation ();
+  host_fusion_ablation ();
   placement_ablation ();
   padding_ablation ();
   tuner_demo ()

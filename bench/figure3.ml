@@ -3,10 +3,13 @@
     kernels (dispatch/8, /4, /2, no dispatch).
 
     This is a *real measurement*: the static, residue-specialized and
-    boundary-guarded kernels are distinct loop nests executed on the host;
-    the guarded kernel's inner-loop checks are exactly the cost the paper's
-    symbolic codegen eliminates through dispatch. Latency is averaged over
-    an MRPC-like mix of sequence lengths covering all residues mod 8. *)
+    boundary-guarded kernels are distinct schedules executed on the host;
+    the guarded kernel's per-row clamping is exactly the cost the paper's
+    symbolic codegen eliminates through dispatch. A pass times one call of
+    each variant on each length of an MRPC-like mix covering all residues
+    mod 8, the five variants interleaved; a cell is the median of
+    {!passes} passes, so a slow moment of the host lands in one pass of
+    every variant instead of in one variant's only sample. *)
 
 open Nimble_tensor
 module Dk = Nimble_codegen.Dense_kernels
@@ -20,19 +23,34 @@ let dense_ops =
    /2 hit their specialized kernels for 8/8, 4/8 and 2/8 of the inputs. *)
 let lengths = [ 16; 9; 26; 35; 12; 21; 30; 23 ]
 
-let time_variant ~n ~k (dense : Tensor.t -> Tensor.t -> Tensor.t) =
-  let rng = Rng.create ~seed:99 in
-  let total = ref 0.0 in
-  List.iter
-    (fun m ->
-      let a = Tensor.randn rng [| m; k |] in
-      let w = Tensor.randn rng [| n; k |] in
-      ignore (dense a w);
+let passes = 7
+
+(* One pass of [dense] over the lengths: the summed time of one warm call
+   per length. *)
+let time_pass inputs w (dense : Tensor.t -> Tensor.t -> Tensor.t) =
+  List.fold_left
+    (fun total a ->
       let t0 = Unix.gettimeofday () in
       ignore (dense a w);
-      total := !total +. (Unix.gettimeofday () -. t0))
-    lengths;
-  !total
+      total +. (Unix.gettimeofday () -. t0))
+    0.0 inputs
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Each variant's median pass time for dense shape (n, k). *)
+let time_variants ~n ~k variants =
+  let rng = Rng.create ~seed:99 in
+  let w = Tensor.randn rng [| n; k |] in
+  let inputs = List.map (fun m -> Tensor.randn rng [| m; k |]) lengths in
+  List.iter (fun (_, f) -> List.iter (fun a -> ignore (f a w)) inputs) variants;
+  let times = List.map (fun _ -> ref []) variants in
+  for _ = 1 to passes do
+    List.iter2 (fun (_, f) acc -> acc := time_pass inputs w f :: !acc) variants times
+  done;
+  List.map (fun acc -> median !acc) times
 
 let variants () =
   let dispatch k = Dispatch.create ~num_kernels:k () in
@@ -46,14 +64,14 @@ let variants () =
 
 let run () =
   Fmt.pr "@.Figure 3: relative latency of symbolic vs static dense codegen@.";
-  Fmt.pr "(100%% = static-shape kernel; measured on host, lengths %a)@."
+  Fmt.pr "(100%% = static-shape kernel; measured on host, lengths %a; median of %d passes)@."
     Fmt.(list ~sep:(any ",") int)
-    lengths;
+    lengths passes;
   let columns = List.map fst (variants ()) in
   let rows =
     List.map
       (fun (name, n, k) ->
-        let times = List.map (fun (_, f) -> time_variant ~n ~k f) (variants ()) in
+        let times = time_variants ~n ~k (variants ()) in
         let base = List.hd times in
         (name, List.map (fun t -> Some (100.0 *. t /. base)) times))
       dense_ops

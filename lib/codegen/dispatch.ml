@@ -72,10 +72,12 @@ let rec register t =
   if not (Atomic.compare_and_set registry old (t :: old)) then register t
 
 (** [create ~num_kernels] builds a dispatcher generating [num_kernels]
-    residue-specialized kernels out of the [tile] possible ones; residues
-    are chosen evenly spaced, matching the paper's "dispatch/k" settings.
-    [name] labels the dispatcher in reports (default ["dense"]). *)
-let create ?(name = "dense") ?(tile = Dense_kernels.tile) ~num_kernels () =
+    residue-specialized kernels out of the {!Dense_kernels.tile} possible
+    ones; residues are chosen evenly spaced, matching the paper's
+    "dispatch/k" settings. [name] labels the dispatcher in reports
+    (default ["dense"]). *)
+let create ?(name = "dense") ~num_kernels () =
+  let tile = Dense_kernels.tile in
   if num_kernels < 0 || num_kernels > tile then
     Fmt.invalid_arg "Dispatch.create: num_kernels %d out of [0, %d]" num_kernels tile;
   let covered =

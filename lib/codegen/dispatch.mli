@@ -31,12 +31,12 @@ type selection = Hit of int | Miss of int | Extern | Tuned of int
 
 type t
 
-(** [create ~num_kernels ()] generates [num_kernels] of the [tile] (default
-    8) possible residue kernels, evenly spaced — the paper's "dispatch/k".
-    [num_kernels = 0] means no dispatch: every call takes the guarded
-    fallback.
+(** [create ~num_kernels ()] generates [num_kernels] of the
+    {!Dense_kernels.tile} (8) possible residue kernels, evenly spaced — the
+    paper's "dispatch/k". [num_kernels = 0] means no dispatch: every call
+    takes the guarded fallback.
     @param name label used in reports and traces (default ["dense"]). *)
-val create : ?name:string -> ?tile:int -> num_kernels:int -> unit -> t
+val create : ?name:string -> num_kernels:int -> unit -> t
 
 (** The dispatcher's report/trace label (the packed kernel name when created
     by the emitter). *)

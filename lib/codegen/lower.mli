@@ -2,15 +2,19 @@
 
     A fused primitive (paper §4.2) and the [main] of a fused static module
     are straight-line bodies: parameters, let-bindings, tuples,
-    projections and calls. {!compile} turns one into a runner; kernels
-    ({!lower}), composed shape functions ({!shape_func_of_primitive}) and
-    the static executor ([Nimble_compiler.Static_exec]) are its three
-    uses.
+    projections and calls. {!compile} turns one into a runner; composed
+    shape functions ({!shape_func_of_primitive}) and the static executor
+    ([Nimble_compiler.Static_exec]) use it. Kernels ({!lower}) are staged
+    from the same sites: every call site is resolved once, each maximal
+    chain of elementwise operators runs as one strided loop whose
+    intermediates live in scratch strips, and the kernel writes the
+    destinations [invoke_mut] hands it (paper §4.3).
 
     A runner keeps no state between calls: each call fills a fresh slot
-    array, and what it shares with other calls (the resolved call sites
-    and the already-evaluated constants) is only read. One runner may
-    therefore serve several domains at once, as the serving workers do. *)
+    array, and what it shares with other calls (the resolved call sites,
+    the link-time loop plans and the already-evaluated constants) is only
+    read. One runner may therefore serve several domains at once, as the
+    serving workers do. *)
 
 open Nimble_tensor
 open Nimble_ir
@@ -47,21 +51,41 @@ val compile :
   'a list ->
   'a value
 
-(** [lower ?dispatch ~name fn] is primitive [fn]'s kernel: input tensors
-    to output tensors. Each operator runs through [Trace.eval_op]; a
-    [dense] runs through [dispatch] when given, then reports with
-    [Trace.record_op].
+(** A kernel: [k ins dsts] computes its outputs from [ins] into the
+    destinations [dsts] and returns [dsts]. An output whose extent
+    differs from its destination's (an upper-bound output, paper §4.3)
+    is returned in the destination's place instead, and the caller
+    decides whether it may replace it. With [dsts = [||]] the kernel
+    allocates its outputs and returns them. *)
+type kernel = Tensor.t list -> Tensor.t array -> Tensor.t array
+
+(** [lower ?dispatch ~name fn] is primitive [fn]'s staged kernel.
+
+    Every maximal chain of elementwise operators — unary and binary
+    arithmetic, [bias_add], and a [strided_slice] read as an offset and
+    strides into its input — runs as one {!Nimble_tensor.Strided} loop
+    over the chain's output with each leaf as an operand: the operators
+    apply through scratch strips of at most 256 elements, in
+    {!Nimble_tensor.Ops_elem}'s loops, and the last one writes the
+    destination. A chain whose leaf shapes are static plans its loop here,
+    once; a dynamic one plans per call. Every other operator is resolved
+    once with [Op_eval.resolve] ([dense] through [dispatch] when given),
+    and where one ends the body the kernel copies its result into the
+    destination. Each call checks each destination's shape and dtype, and
+    raises [Lower_error] when a destination is one of [ins]. Under a
+    {!Trace} listener a call reports one [Op_exec] per operator, in body
+    order, after it runs.
     @raise Lower_error when the body calls anything but operators. *)
-val lower :
-  ?dispatch:Dispatch.t -> name:string -> Expr.fn -> Tensor.t list -> Tensor.t list
+val lower : ?dispatch:Dispatch.t -> name:string -> Expr.fn -> kernel
 
 (** [shape_func_of_primitive ~name fn] composes the shape functions of
     [fn]'s members (§4.2): it maps the primitive's inputs to its output
     shapes. Each input is a shape, or a value when the caller has it
     (data-dependent and dominance-proven groups). A member whose shape
     function reads values (a proven or data-dependent site) gets them
-    from its inputs; the chains feeding it are evaluated on demand
-    through [Trace.eval_op], and no other member's value is computed.
+    from its inputs; the chains feeding it are evaluated on demand,
+    through operators resolved here and reported to {!Trace}, and no
+    other member's value is computed.
     @raise Lower_error when the body calls anything but operators, when
     a fused group holds an unproven dynamic member, or when a member
     needs a value its inputs do not carry.

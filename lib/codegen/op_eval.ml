@@ -31,137 +31,125 @@ let three = function
   | [ a; b; c ] -> (a, b, c)
   | ts -> err "expected 3 arguments, got %d" (List.length ts)
 
-(** [eval name ~attrs args] runs operator [name] and returns its outputs
-    (singleton for all ops except [split]). *)
-let eval name ~(attrs : Attrs.t) (args : Tensor.t list) : Tensor.t list =
+let un f args = [ f (one args) ]
+let bin f args = let a, b = two args in [ f a b ]
+
+(* Every operator but the elementwise ones. *)
+let resolve_other name ~(attrs : Attrs.t) : Tensor.t list -> Tensor.t list =
   match name with
-  | "add" -> let a, b = two args in [ Ops_elem.add a b ]
-  | "subtract" -> let a, b = two args in [ Ops_elem.sub a b ]
-  | "multiply" -> let a, b = two args in [ Ops_elem.mul a b ]
-  | "divide" -> let a, b = two args in [ Ops_elem.div a b ]
-  | "maximum" -> let a, b = two args in [ Ops_elem.maximum a b ]
-  | "minimum" -> let a, b = two args in [ Ops_elem.minimum a b ]
-  | "equal" -> let a, b = two args in [ Ops_elem.equal a b ]
-  | "less" -> let a, b = two args in [ Ops_elem.less a b ]
-  | "greater" -> let a, b = two args in [ Ops_elem.greater a b ]
-  | "less_equal" -> let a, b = two args in [ Ops_elem.less_equal a b ]
-  | "greater_equal" -> let a, b = two args in [ Ops_elem.greater_equal a b ]
-  | "not_equal" -> let a, b = two args in [ Ops_elem.not_equal a b ]
-  | "logical_and" -> let a, b = two args in [ Ops_elem.logical_and a b ]
-  | "logical_or" -> let a, b = two args in [ Ops_elem.logical_or a b ]
-  | "logical_not" -> [ Ops_elem.logical_not (one args) ]
-  | "power" -> let a, b = two args in [ Ops_elem.pow a b ]
-  | "erf" -> [ Ops_elem.erf (one args) ]
-  | "where" -> let c, a, b = three args in [ Ops_elem.where c a b ]
+  | "where" -> fun args -> let c, a, b = three args in [ Ops_elem.where c a b ]
   | "log_softmax" ->
       let axis = Attrs.get_int ~default:(-1) attrs "axis" in
-      [ Ops_nn.log_softmax ~axis (one args) ]
-  | "negative" -> [ Ops_elem.neg (one args) ]
-  | "abs" -> [ Ops_elem.abs (one args) ]
-  | "exp" -> [ Ops_elem.exp (one args) ]
-  | "log" -> [ Ops_elem.log (one args) ]
-  | "sqrt" -> [ Ops_elem.sqrt (one args) ]
-  | "tanh" -> [ Ops_elem.tanh (one args) ]
-  | "sigmoid" -> [ Ops_elem.sigmoid (one args) ]
-  | "relu" -> [ Ops_elem.relu (one args) ]
-  | "gelu" -> [ Ops_elem.gelu (one args) ]
+      un (Ops_nn.log_softmax ~axis)
   | "cast" ->
       let dt =
         match Attrs.find_str attrs "dtype" with
         | Some s -> Option.get (Dtype.of_string s)
         | None -> err "cast: missing dtype"
       in
-      [ Tensor.astype (one args) dt ]
-  | "dense" -> let a, w = two args in [ Ops_matmul.dense a w ]
-  | "matmul" -> let a, b = two args in [ Ops_matmul.matmul a b ]
-  | "batch_matmul" -> let a, b = two args in [ Ops_matmul.batch_matmul a b ]
-  | "bias_add" ->
-      let a, b = two args in
-      [ Ops_elem.add a b ]
+      un (fun t -> Tensor.astype t dt)
+  | "dense" -> bin Ops_matmul.dense
+  | "matmul" -> bin Ops_matmul.matmul
+  | "batch_matmul" -> bin Ops_matmul.batch_matmul
   | "conv2d" ->
-      let a, w = two args in
       let stride = Attrs.get_int ~default:1 attrs "stride" in
       let padding = Attrs.get_int ~default:0 attrs "padding" in
-      [ Ops_nn.conv2d ~stride ~padding a w ]
+      bin (Ops_nn.conv2d ~stride ~padding)
   | "max_pool2d" ->
       let window = Attrs.get_int attrs "window" in
       let stride = Attrs.get_int ~default:2 attrs "stride" in
-      [ Ops_nn.max_pool2d ~stride ~window (one args) ]
+      un (Ops_nn.max_pool2d ~stride ~window)
   | "avg_pool2d" ->
       let window = Attrs.get_int attrs "window" in
       let stride = Attrs.get_int ~default:2 attrs "stride" in
-      [ Ops_nn.avg_pool2d ~stride ~window (one args) ]
-  | "global_avg_pool2d" -> [ Ops_nn.global_avg_pool2d (one args) ]
+      un (Ops_nn.avg_pool2d ~stride ~window)
+  | "global_avg_pool2d" -> un Ops_nn.global_avg_pool2d
   | "softmax" ->
       let axis = Attrs.get_int ~default:(-1) attrs "axis" in
-      [ Ops_nn.softmax ~axis (one args) ]
-  | "layer_norm" ->
-      let a, gamma, beta = three args in
-      [ Ops_nn.layer_norm a ~gamma ~beta ]
+      un (Ops_nn.softmax ~axis)
+  | "layer_norm" -> fun args -> let a, gamma, beta = three args in [ Ops_nn.layer_norm a ~gamma ~beta ]
   | "batch_norm" -> (
-      match args with
+      function
       | [ a; gamma; beta; mean; var ] -> [ Ops_nn.batch_norm a ~gamma ~beta ~mean ~var ]
       | _ -> err "batch_norm: expected 5 arguments")
-  | "embedding" -> let t, ids = two args in [ Ops_nn.embedding t ids ]
+  | "embedding" -> bin Ops_nn.embedding
   | "reshape" ->
       let target = Array.of_list (Attrs.get_ints attrs "newshape") in
-      [ Tensor.reshape (one args) target ]
+      un (fun t -> Tensor.reshape t target)
   | "transpose" ->
       let axes = Option.map Array.of_list (Attrs.find_ints attrs "axes") in
-      [ Ops_shape.transpose ?axes (one args) ]
+      un (Ops_shape.transpose ?axes)
   | "expand_dims" ->
-      let t = one args in
-      [ Tensor.reshape t (Shape.insert_axis (Tensor.shape t) (Attrs.get_int attrs "axis")) ]
+      let axis = Attrs.get_int attrs "axis" in
+      un (fun t -> Tensor.reshape t (Shape.insert_axis (Tensor.shape t) axis))
   | "squeeze" ->
-      let t = one args in
-      let axis =
-        Shape.normalize_axis ~rank:(Tensor.rank t) (Attrs.get_int attrs "axis")
-      in
-      if (Tensor.shape t).(axis) <> 1 then err "squeeze: axis %d not 1" axis;
-      [ Tensor.reshape t (Shape.remove_axis (Tensor.shape t) axis) ]
-  | "concat" -> [ Ops_shape.concat ~axis:(Attrs.get_int attrs "axis") args ]
+      let axis = Attrs.get_int attrs "axis" in
+      un (fun t ->
+          let axis = Shape.normalize_axis ~rank:(Tensor.rank t) axis in
+          if (Tensor.shape t).(axis) <> 1 then err "squeeze: axis %d not 1" axis;
+          Tensor.reshape t (Shape.remove_axis (Tensor.shape t) axis))
+  | "concat" ->
+      let axis = Attrs.get_int attrs "axis" in
+      fun args -> [ Ops_shape.concat ~axis args ]
   | "split" ->
-      Ops_shape.split ~axis:(Attrs.get_int attrs "axis")
-        ~sections:(Attrs.get_int attrs "sections")
-        (one args)
+      let axis = Attrs.get_int attrs "axis" and sections = Attrs.get_int attrs "sections" in
+      fun args -> Ops_shape.split ~axis ~sections (one args)
   | "strided_slice" ->
       let begins = Array.of_list (Attrs.get_ints attrs "begins") in
       let ends = Array.of_list (Attrs.get_ints attrs "ends") in
-      [ Ops_shape.strided_slice ~begins ~ends (one args) ]
+      un (Ops_shape.strided_slice ~begins ~ends)
   | "take" ->
-      let d, i = two args in
-      [ Ops_shape.take ~axis:(Attrs.get_int ~default:0 attrs "axis") d i ]
-  | "tile" -> [ Ops_shape.tile ~reps:(Array.of_list (Attrs.get_ints attrs "reps")) (one args) ]
-  | "sum" | "max" | "min" | "mean" -> (
-      let t = one args in
+      let axis = Attrs.get_int ~default:0 attrs "axis" in
+      bin (Ops_shape.take ~axis)
+  | "tile" ->
+      let reps = Array.of_list (Attrs.get_ints attrs "reps") in
+      un (Ops_shape.tile ~reps)
+  | "sum" | "max" | "min" | "mean" ->
       let keepdims = Attrs.get_bool attrs "keepdims" in
       let axis = Attrs.find_int attrs "axis" in
-      match name with
-      | "sum" -> [ Ops_reduce.sum ?axis ~keepdims t ]
-      | "max" -> [ Ops_reduce.max ?axis ~keepdims t ]
-      | "min" -> [ Ops_reduce.min ?axis ~keepdims t ]
-      | _ -> [ Ops_reduce.mean ?axis ~keepdims t ])
-  | "argmax" -> [ Ops_reduce.argmax ~axis:(Attrs.get_int attrs "axis") (one args) ]
+      un
+        (match name with
+        | "sum" -> Ops_reduce.sum ?axis ~keepdims
+        | "max" -> Ops_reduce.max ?axis ~keepdims
+        | "min" -> Ops_reduce.min ?axis ~keepdims
+        | _ -> Ops_reduce.mean ?axis ~keepdims)
+  | "argmax" ->
+      let axis = Attrs.get_int attrs "axis" in
+      un (Ops_reduce.argmax ~axis)
   | "arange" ->
-      let start, stop, step = three args in
-      let dt =
+      let dtype =
         match Attrs.find_str attrs "dtype" with
         | Some s -> Option.value ~default:Dtype.F32 (Dtype.of_string s)
         | None -> Dtype.F32
       in
-      [ Ops_shape.arange ~dtype:dt ~start:(Tensor.item start) ~stop:(Tensor.item stop)
-          ~step:(Tensor.item step) () ]
-  | "unique" -> [ Ops_shape.unique (one args) ]
+      fun args ->
+        let start, stop, step = three args in
+        [ Ops_shape.arange ~dtype ~start:(Tensor.item start) ~stop:(Tensor.item stop)
+            ~step:(Tensor.item step) () ]
+  | "unique" -> un Ops_shape.unique
   | "nms" ->
       let iou = Attrs.get_float ~default:0.5 attrs "iou" in
       let score = Attrs.get_float ~default:0.0 attrs "score" in
-      [ Ops_nn.nms ~iou_threshold:iou ~score_threshold:score (one args) ]
-  | "shape_of" -> [ Tensor.shape_tensor (one args) ]
-  | "reshape_tensor" ->
-      let t, shape = two args in
-      [ Tensor.reshape t (Tensor.to_shape shape) ]
-  | "device_copy" -> [ Tensor.copy (one args) ]
+      un (Ops_nn.nms ~iou_threshold:iou ~score_threshold:score)
+  | "shape_of" -> un Tensor.shape_tensor
+  | "reshape_tensor" -> bin (fun t shape -> Tensor.reshape t (Tensor.to_shape shape))
+  | "device_copy" -> un Tensor.copy
   | _ -> err "op_eval: no kernel for operator %s" name
+
+(** [resolve name ~attrs] reads operator [name]'s attributes once and
+    returns its kernel, from input tensors to outputs (singleton for all
+    ops except [split]). [Lower] resolves each site of a fused body once,
+    at link time.
+    @raise Eval_error for an unknown operator. *)
+let resolve name ~attrs =
+  match (Ops_elem.unop_of_name name, Ops_elem.binop_of_name name) with
+  | Some op, _ -> un (Ops_elem.unop op)
+  | _, Some op -> bin (Ops_elem.binop op)
+  | None, None -> resolve_other name ~attrs
+
+(** [eval name ~attrs args] runs operator [name] and returns its outputs:
+    {!resolve} applied. *)
+let eval name ~attrs args = resolve name ~attrs args
 
 let eval1 name ~attrs args = one (eval name ~attrs args)
 

@@ -36,26 +36,31 @@ let enabled () = !sink <> None
 
 let emit ev = match !sink with Some f -> f ev | None -> ()
 
-let tensor_bytes ts =
-  List.fold_left (fun acc t -> acc + Tensor.size_in_bytes t) 0 ts
+let bytes descs =
+  List.fold_left (fun acc (s, dt) -> acc + (Shape.numel s * Dtype.size_in_bytes dt)) 0 descs
 
-(** Record execution of operator [op] on concrete tensors. *)
-let record_op op ~attrs (ins : Tensor.t list) (outs : Tensor.t list) =
+(** Record execution of operator [op] from the shape and dtype of each
+    input and output. *)
+let record_shapes op ~attrs ins outs =
   match !sink with
   | None -> ()
   | Some f ->
-      let in_shapes = List.map Tensor.shape ins in
-      let out_shapes = List.map Tensor.shape outs in
-      let flops = Op_eval.flops op ~attrs in_shapes out_shapes in
+      let in_shapes = List.map fst ins and out_shapes = List.map fst outs in
       f
         (Op_exec
            {
              op;
              in_shapes;
              out_shapes;
-             flops;
-             bytes = tensor_bytes ins + tensor_bytes outs;
+             flops = Op_eval.flops op ~attrs in_shapes out_shapes;
+             bytes = bytes ins + bytes outs;
            })
+
+let desc t = (Tensor.shape t, Tensor.dtype t)
+
+(** Record execution of operator [op] on concrete tensors. *)
+let record_op op ~attrs (ins : Tensor.t list) (outs : Tensor.t list) =
+  if !sink <> None then record_shapes op ~attrs (List.map desc ins) (List.map desc outs)
 
 let record_framework kind ?(amount = 1) () =
   match !sink with None -> () | Some f -> f (Framework { kind; amount })

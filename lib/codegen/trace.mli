@@ -37,6 +37,17 @@ val enabled : unit -> bool
 (** Send one event to the installed listener, if any. *)
 val emit : event -> unit
 
+(** Record execution of operator [op] from the shape and dtype of each
+    input and output (flops and bytes are derived from them) — what a
+    staged kernel reports for an operator whose result was never a
+    tensor. *)
+val record_shapes :
+  string ->
+  attrs:Nimble_ir.Attrs.t ->
+  (Shape.t * Dtype.t) list ->
+  (Shape.t * Dtype.t) list ->
+  unit
+
 (** Record execution of operator [op] on concrete tensors (flops and bytes
     are derived from the shapes). *)
 val record_op :

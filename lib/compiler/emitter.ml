@@ -131,10 +131,30 @@ let shape_func_of_primitive st (prim : Expr.fn) ~(mode : string) =
         | m -> err "unknown shape function mode %s" m
       in
       let f = Nimble_codegen.Lower.shape_func_of_primitive ~name prim in
-      let shape_tensor s = Tensor.of_int_array ~dtype:Dtype.I64 [| Array.length s |] s in
-      { Exe.packed_name = name; kind = `Shape_func; mode = Some mode;
-        run = (fun ins -> List.map shape_tensor (f (List.map input ins)));
-        dispatch = None })
+      let fail fmt =
+        Fmt.kstr (fun s -> raise (Nimble_codegen.Lower.Lower_error (name ^ ": " ^ s))) fmt
+      in
+      (* each shape goes into its i64 destination, checked once *)
+      let write dsts i s =
+        let d = dsts.(i) in
+        match d.Tensor.buf with
+        | Tensor.Ints b
+          when Dtype.equal (Tensor.dtype d) Dtype.I64
+               && Tensor.shape d = [| Array.length s |]
+               && Array.length b = Array.length s ->
+            Array.blit s 0 b 0 (Array.length s)
+        | _ ->
+            fail "shape %d of rank %d into a %a %a destination" i (Array.length s) Shape.pp
+              (Tensor.shape d) Dtype.pp (Tensor.dtype d)
+      in
+      let run ins dsts =
+        let shapes = f (List.map input ins) in
+        if List.length shapes <> Array.length dsts then
+          fail "%d shapes for %d destinations" (List.length shapes) (Array.length dsts);
+        List.iteri (write dsts) shapes;
+        dsts
+      in
+      { Exe.packed_name = name; kind = `Shape_func; mode = Some mode; run; dispatch = None })
 
 (* ------------------------------------------------------------------ *)
 (* Function compilation                                                *)

@@ -115,7 +115,12 @@ val ir_size : Nimble_ir.Irmod.t -> int
 
 (** Run the pass pipeline only (no bytecode emission): ANF, inlining, CSE,
     constant folding, DCE, type inference with [Any], fusion, manifest
-    allocation, device placement, memory planning. *)
+    allocation, device placement, memory planning. ANF builds a new
+    module with a fresh variable for every binder ([Anf.run]), so the
+    argument is left as it was: one built module compiles any number of
+    times, under any options, to the same result as a fresh build. The
+    same holds for {!compile_with_report}, {!compile}, {!run} and
+    {!compile_static}. *)
 val optimize : ?options:options -> Nimble_ir.Irmod.t -> Nimble_ir.Irmod.t * report
 
 (** Compile a module to a linked VM executable, with the report. *)

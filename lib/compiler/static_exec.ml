@@ -34,7 +34,7 @@ let plan (m : Irmod.t) : t =
           else None
         in
         let kernel = Lower.lower ?dispatch ~name:(Fusion.primitive_name prim) prim in
-        fun args -> Lower.outputs (kernel args)
+        fun args -> Lower.outputs (Array.to_list (kernel args [||]))
     | e -> err "static executor: unsupported callee %a" Expr.pp e
   in
   Lower.compile

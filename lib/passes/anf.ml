@@ -53,113 +53,134 @@ let memoizable = function
   | Expr.Call _ | Expr.Tuple _ | Expr.Proj _ -> true
   | _ -> false
 
-(* [norm memo e k]: normalize [e]; [k] receives an atom for [e]. *)
-let rec norm memo (e : Expr.t) (k : Expr.t -> Expr.t) : Expr.t =
-  match if memoizable e then Memo.find memo e else None with
-  | Some atom -> k atom
+(* A conversion's state: the memo, copied for each branch, and the fresh
+   variable given to each binder converted so far, shared by all. *)
+type ctx = { memo : Memo.t; vars : (int, Expr.var) Hashtbl.t }
+
+(* A fresh variable for binder [v] (same name and declared type): the
+   passes after ANF set variables' types, and must not reach the
+   caller's. *)
+let rename ctx (v : Expr.var) =
+  let v' = Expr.fresh_var ?ty:v.Expr.vty v.Expr.vname in
+  Hashtbl.replace ctx.vars v.Expr.vid v';
+  v'
+
+(* An atom with its variable renamed. *)
+let atom ctx (e : Expr.t) =
+  match e with
+  | Expr.Var v -> (
+      match Hashtbl.find_opt ctx.vars v.Expr.vid with Some v' -> Expr.Var v' | None -> e)
+  | _ -> e
+
+let rec pattern ctx = function
+  | Expr.Pwild -> Expr.Pwild
+  | Expr.Pvar v -> Expr.Pvar (rename ctx v)
+  | Expr.Pctor (c, ps) -> Expr.Pctor (c, List.map (pattern ctx) ps)
+
+(* [norm ctx e k]: normalize [e]; [k] receives an atom for [e]. *)
+let rec norm ctx (e : Expr.t) (k : Expr.t -> Expr.t) : Expr.t =
+  match if memoizable e then Memo.find ctx.memo e else None with
+  | Some a -> k a
   | None -> (
       match e with
-      | Expr.Var _ | Expr.Const _ | Expr.Global _ | Expr.Op _ | Expr.Ctor _ -> k e
-      | Expr.Tuple es -> norm_list memo es (fun atoms -> bind memo e (Expr.Tuple atoms) k)
-      | Expr.Proj (e1, i) -> norm memo e1 (fun a -> bind memo e (Expr.Proj (a, i)) k)
+      | Expr.Var _ | Expr.Const _ | Expr.Global _ | Expr.Op _ | Expr.Ctor _ -> k (atom ctx e)
+      | Expr.Tuple es -> norm_list ctx es (fun atoms -> bind ctx e (Expr.Tuple atoms) k)
+      | Expr.Proj (e1, i) -> norm ctx e1 (fun a -> bind ctx e (Expr.Proj (a, i)) k)
       | Expr.Call { callee; args; attrs } ->
-          let norm_callee f =
-            match callee with
-            | Expr.Op _ | Expr.Ctor _ | Expr.Global _ -> f callee
-            | _ -> norm memo callee f
-          in
-          norm_callee (fun c ->
-              norm_list memo args (fun atoms ->
-                  bind memo e (Expr.Call { callee = c; args = atoms; attrs }) k))
-      | Expr.Fn fn ->
-          bind memo e (Expr.Fn { fn with Expr.body = convert fn.Expr.body }) k
-      | Expr.Let (v, bound, body) -> norm_named memo v bound (fun () -> norm memo body k)
+          norm_callee ctx callee (fun c ->
+              norm_list ctx args (fun atoms ->
+                  bind ctx e (Expr.Call { callee = c; args = atoms; attrs }) k))
+      | Expr.Fn fn -> bind ctx e (Expr.Fn (convert_fn_in ctx fn)) k
+      | Expr.Let (v, bound, body) -> norm_named ctx v bound (fun () -> norm ctx body k)
       | Expr.If (c, t, f) ->
-          norm memo c (fun ca ->
-              bind memo e
-                (Expr.If (ca, convert_scoped memo t, convert_scoped memo f))
-                k)
+          norm ctx c (fun ca ->
+              bind ctx e (Expr.If (ca, convert_scoped ctx t, convert_scoped ctx f)) k)
       | Expr.Match (scrut, clauses) ->
-          norm memo scrut (fun sa ->
-              let clauses =
-                List.map
-                  (fun cl -> { cl with Expr.rhs = convert_scoped memo cl.Expr.rhs })
-                  clauses
-              in
-              bind memo e (Expr.Match (sa, clauses)) k))
+          norm ctx scrut (fun sa -> bind ctx e (Expr.Match (sa, clauses_in ctx clauses)) k))
+
+and norm_callee ctx callee f =
+  match callee with
+  | Expr.Op _ | Expr.Ctor _ | Expr.Global _ -> f callee
+  | _ -> norm ctx callee f
 
 (* Bind a normalized compound node [rebuilt] (for original node [orig]). *)
-and bind memo (orig : Expr.t) (rebuilt : Expr.t) (k : Expr.t -> Expr.t) : Expr.t =
+and bind ctx (orig : Expr.t) (rebuilt : Expr.t) (k : Expr.t -> Expr.t) : Expr.t =
   if is_atom rebuilt then k rebuilt
   else begin
     let v = Expr.fresh_var "t" in
-    if memoizable orig then Memo.add memo orig (Expr.Var v);
+    if memoizable orig then Memo.add ctx.memo orig (Expr.Var v);
     Expr.Let (v, rebuilt, k (Expr.Var v))
   end
 
-(* Normalize [bound] into the RHS of a let that keeps the user's name. *)
-and norm_named memo v (bound : Expr.t) (k : unit -> Expr.t) : Expr.t =
-  let remember () = if memoizable bound then Memo.add memo bound (Expr.Var v) in
+(* Normalize [bound] into the RHS of a let that keeps the user's name
+   (with a fresh variable). *)
+and norm_named ctx v (bound : Expr.t) (k : unit -> Expr.t) : Expr.t =
   match bound with
-  | Expr.Let (v2, b2, body2) -> norm_named memo v2 b2 (fun () -> norm_named memo v body2 k)
-  | _ when is_atom bound -> Expr.Let (v, bound, k ())
+  | Expr.Let (v2, b2, body2) -> norm_named ctx v2 b2 (fun () -> norm_named ctx v body2 k)
+  | _ when is_atom bound ->
+      let bound = atom ctx bound in
+      let v = rename ctx v in
+      Expr.Let (v, bound, k ())
   | _ -> (
-      match Memo.find memo bound with
-      | Some atom -> Expr.Let (v, atom, k ())
-      | None -> (
+      match Memo.find ctx.memo bound with
+      | Some a ->
+          let v = rename ctx v in
+          Expr.Let (v, a, k ())
+      | None ->
+          (* [rhs] builds the let once its operands are atoms; the
+             binder is renamed after them, which cannot mention it *)
+          let rhs r =
+            let v = rename ctx v in
+            if memoizable bound then Memo.add ctx.memo bound (Expr.Var v);
+            Expr.Let (v, r, k ())
+          in
           match bound with
-          | Expr.Tuple es ->
-              norm_list memo es (fun atoms ->
-                  remember ();
-                  Expr.Let (v, Expr.Tuple atoms, k ()))
-          | Expr.Proj (e1, i) ->
-              norm memo e1 (fun a ->
-                  remember ();
-                  Expr.Let (v, Expr.Proj (a, i), k ()))
+          | Expr.Tuple es -> norm_list ctx es (fun atoms -> rhs (Expr.Tuple atoms))
+          | Expr.Proj (e1, i) -> norm ctx e1 (fun a -> rhs (Expr.Proj (a, i)))
           | Expr.Call { callee; args; attrs } ->
-              let norm_callee f =
-                match callee with
-                | Expr.Op _ | Expr.Ctor _ | Expr.Global _ -> f callee
-                | _ -> norm memo callee f
-              in
-              norm_callee (fun c ->
-                  norm_list memo args (fun atoms ->
-                      remember ();
-                      Expr.Let (v, Expr.Call { callee = c; args = atoms; attrs }, k ())))
-          | Expr.Fn fn ->
-              Expr.Let (v, Expr.Fn { fn with Expr.body = convert fn.Expr.body }, k ())
+              norm_callee ctx callee (fun c ->
+                  norm_list ctx args (fun atoms -> rhs (Expr.Call { callee = c; args = atoms; attrs })))
+          | Expr.Fn fn -> rhs (Expr.Fn (convert_fn_in ctx fn))
           | Expr.If (c, t, f) ->
-              norm memo c (fun ca ->
-                  Expr.Let
-                    (v, Expr.If (ca, convert_scoped memo t, convert_scoped memo f), k ()))
+              norm ctx c (fun ca -> rhs (Expr.If (ca, convert_scoped ctx t, convert_scoped ctx f)))
           | Expr.Match (scrut, clauses) ->
-              norm memo scrut (fun sa ->
-                  let clauses =
-                    List.map
-                      (fun cl -> { cl with Expr.rhs = convert_scoped memo cl.Expr.rhs })
-                      clauses
-                  in
-                  Expr.Let (v, Expr.Match (sa, clauses), k ()))
-          | _ -> Expr.Let (v, bound, k ())))
+              norm ctx scrut (fun sa -> rhs (Expr.Match (sa, clauses_in ctx clauses)))
+          | _ -> rhs bound)
 
-and norm_list memo es k =
+and norm_list ctx es k =
   match es with
   | [] -> k []
-  | e :: rest -> norm memo e (fun a -> norm_list memo rest (fun atoms -> k (a :: atoms)))
+  | e :: rest -> norm ctx e (fun a -> norm_list ctx rest (fun atoms -> k (a :: atoms)))
+
+and clauses_in ctx clauses =
+  List.map
+    (fun cl ->
+      let pat = pattern ctx cl.Expr.pat in
+      { Expr.pat; rhs = convert_scoped ctx cl.Expr.rhs })
+    clauses
 
 (* Convert a branch body: outer bindings are visible, inner ones don't leak. *)
-and convert_scoped memo (e : Expr.t) : Expr.t = norm (Memo.copy memo) e (fun a -> a)
+and convert_scoped ctx (e : Expr.t) : Expr.t =
+  norm { ctx with memo = Memo.copy ctx.memo } e (fun a -> a)
+
+and convert_fn_in ctx (fn : Expr.fn) : Expr.fn =
+  let params = List.map (rename ctx) fn.Expr.params in
+  { fn with Expr.params; body = norm { ctx with memo = Memo.create () } fn.Expr.body (fun a -> a) }
+
+let context () = { memo = Memo.create (); vars = Hashtbl.create 64 }
 
 (** Convert an expression to ANF. *)
-and convert (e : Expr.t) : Expr.t = norm (Memo.create ()) e (fun a -> a)
+let convert (e : Expr.t) : Expr.t = norm (context ()) e (fun a -> a)
 
-(** Convert a function body to ANF. *)
-let convert_fn (fn : Expr.fn) : Expr.fn = { fn with Expr.body = convert fn.Expr.body }
+(** Convert a function to ANF. *)
+let convert_fn (fn : Expr.fn) : Expr.fn = convert_fn_in (context ()) fn
 
-(** Convert every function in a module. *)
+(** Convert every function of [m] into a new module. *)
 let run (m : Irmod.t) : Irmod.t =
-  Irmod.map_funcs m (fun _name fn -> convert_fn fn);
-  m
+  let ctx = context () and out = Irmod.create () in
+  List.iter (Irmod.add_adt out) (Irmod.adts m);
+  List.iter (fun (name, fn) -> Irmod.add_func out name (convert_fn_in ctx fn)) (Irmod.functions m);
+  out
 
 (** Distinct expression nodes across a module's functions, a node the
     builder shares counted once: the module's size before conversion. A

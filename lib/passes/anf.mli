@@ -19,7 +19,10 @@ val convert : Expr.t -> Expr.t
 (** Convert a function body to ANF. *)
 val convert_fn : Expr.fn -> Expr.fn
 
-(** Convert every function in a module. *)
+(** Convert every function of a module into a new module, with a fresh
+    variable (same name and declared type) for every binder. The passes
+    that follow set variables' types and rewrite function tables in
+    place; the module converted is left as it was. *)
 val run : Irmod.t -> Irmod.t
 
 (** Distinct expression nodes across a module's functions, each node the

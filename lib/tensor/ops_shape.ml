@@ -102,11 +102,11 @@ let split ~axis ~sections a =
   let st = Shape.strides s in
   List.init sections (fun sec -> gather out_shape a (sec * part * st.(axis)) st)
 
-(** [strided_slice ~begins ~ends a]: per-dim windows from [begins]
-    (inclusive) to [ends] (exclusive), step 1. Negative indices count from
-    the end; ends are clamped. *)
-let strided_slice ~begins ~ends a =
-  let s = Tensor.shape a in
+(** [slice_window s ~begins ~ends] is the window [(lo, hi)] per dim that
+    {!strided_slice} takes of shape [s]: from [begins] (inclusive) to
+    [ends] (exclusive), step 1. Negative indices count from the end; ends
+    are clamped. *)
+let slice_window s ~begins ~ends =
   let r = Shape.rank s in
   if Array.length begins <> r || Array.length ends <> r then
     Tensor.type_err "strided_slice: begins/ends rank mismatch";
@@ -116,9 +116,15 @@ let strided_slice ~begins ~ends a =
     lo.(i) <- Stdlib.max 0 (Stdlib.min (norm begins.(i)) s.(i));
     hi.(i) <- Stdlib.max lo.(i) (Stdlib.min (norm ends.(i)) s.(i))
   done;
+  (lo, hi)
+
+(** [strided_slice ~begins ~ends a]: [a]'s {!slice_window}. *)
+let strided_slice ~begins ~ends a =
+  let s = Tensor.shape a in
+  let lo, hi = slice_window s ~begins ~ends in
   let st = Shape.strides s in
   let off = Array.fold_left ( + ) 0 (Array.map2 ( * ) lo st) in
-  gather (Array.init r (fun i -> hi.(i) - lo.(i))) a off st
+  gather (Array.mapi (fun i h -> h - lo.(i)) hi) a off st
 
 (** Gather rows: [take ~axis data indices] with integer [indices]. *)
 let take ?(axis = 0) data indices =

@@ -17,8 +17,8 @@ let rank (s : t) = Array.length s
 
 let numel (s : t) = Array.fold_left ( * ) 1 s
 
-let equal (a : t) (b : t) =
-  Array.length a = Array.length b && Array.for_all2 ( = ) a b
+let rec equal_from (a : t) (b : t) i = i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
 
 let pp ppf (s : t) =
   Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any ", ") int) s

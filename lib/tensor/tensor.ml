@@ -6,10 +6,14 @@
     than for Bigarrays (unboxed access, register-tiled loops); the dtype
     remains a logical tag that drives promotion, serialization width and
     byte accounting. Layout, broadcast and reduction operators walk their
-    operands through offsets and strides ({!Strided}), but every operator
-    still returns a fresh tensor: views are not implemented. The Nimble
-    VM needs that, since it overwrites its pooled storage between calls,
-    and a result aliasing an input would change under it. *)
+    operands through offsets and strides ({!Strided}), and every operator
+    called alone returns a fresh tensor: no tensor is a view of another.
+    The Nimble VM needs that, since it overwrites its pooled storage
+    between calls, and a result aliasing an input would change under it.
+    Views exist only inside a fused kernel, for the length of one call: a
+    staged elementwise chain reads a [strided_slice] as an offset and
+    strides into its input and writes the destination the VM hands it
+    ([Nimble_codegen.Lower]). *)
 
 type buf =
   | Floats of float array  (** F32 / F64 *)
@@ -153,8 +157,9 @@ let copy t =
   in
   { shape = Array.copy t.shape; dtype = t.dtype; buf }
 
-(** Copy contents of [src] into [dst] (same dtype class and element count):
-    the destination-passing blit used by the VM's invoke_mut. *)
+(** Copy contents of [src] into [dst] (same element count), converting
+    between float and integer buffers: how a fused kernel stores a result
+    it did not compute in place into its destination. *)
 let blit ~src ~dst =
   if numel src <> numel dst then
     type_err "blit: element count mismatch (%d vs %d)" (numel src) (numel dst);

@@ -41,7 +41,7 @@ type packed = {
   mode : string option;
       (** shape-function mode ("data_indep" / "data_dep" / "upper_bound" /
           "proven"), carried for trace tagging; [None] for kernels *)
-  run : Tensor.t list -> Tensor.t list;
+  run : Tensor.t list -> Tensor.t array -> Tensor.t array;
   dispatch : Nimble_codegen.Dispatch.t option;
       (** the dense dispatcher [run] routes through, for kernels with
           residue dispatch; tune replay and the online tuner reach it here *)

@@ -37,18 +37,22 @@ type guard = {
 }
 
 (** A packed function: a compiled kernel or a compiled shape function.
-    [run] computes fresh outputs; the interpreter blits them into the
-    pre-allocated destinations of [InvokePacked]. Packed implementations
-    are platform-dependent and therefore never serialized; {!Serialize}
-    stores only [packed_names] and {!relink} reattaches implementations by
-    name. *)
+    [run ins dsts] writes its outputs into [dsts], the destinations
+    [InvokePacked] holds (paper §4.3's [invoke_mut]), and returns [dsts]
+    ({!Nimble_codegen.Lower.kernel}): a kernel output whose exact extent
+    differs from its upper-bound destination comes back in that
+    destination's place, and the interpreter lets it replace the bound;
+    a composed shape function writes each i64 shape tensor. Packed
+    implementations are platform-dependent and therefore never
+    serialized; {!Serialize} stores only [packed_names] and {!relink}
+    reattaches implementations by name. *)
 type packed = {
   packed_name : string;
   kind : [ `Kernel | `Shape_func ];
   mode : string option;
       (** shape-function mode ("data_indep" / "data_dep" / "upper_bound"),
           carried for trace tagging; [None] for kernels *)
-  run : Tensor.t list -> Tensor.t list;
+  run : Tensor.t list -> Tensor.t array -> Tensor.t array;
   dispatch : Nimble_codegen.Dispatch.t option;
       (** the dense dispatcher [run] routes through, for kernels compiled
           with residue dispatch: tune replay and the online tuner reach the

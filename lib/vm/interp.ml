@@ -133,19 +133,14 @@ let dispatch_args () =
 
 let now () = Unix.gettimeofday ()
 
-(* Copy a kernel result into a pre-allocated destination tensor (the
-   destination-passing half of invoke_mut). Upper-bound outputs may be
-   smaller than the destination: the exact-extent result replaces it. *)
+(* Bind a packed function's output to its destination register. The
+   kernel wrote [dst] in place (the destination-passing half of
+   invoke_mut), or handed back an exact-extent result for an upper-bound
+   output, which replaces its bound. *)
 let store_output ~upper_bound (dst : Obj.placed) (res : Tensor.t) : Obj.t =
-  if Shape.equal (Tensor.shape res) (Tensor.shape dst.Obj.data) then begin
-    (* blit into the pre-allocated buffer *)
-    Tensor.blit ~src:res ~dst:dst.Obj.data;
-    Obj.Tensor dst
-  end
+  if res == dst.Obj.data then Obj.Tensor dst
   else if upper_bound then
-    (* the kernel reported the true extent; use the exact-shape result *)
-    if Tensor.numel res <= Tensor.numel dst.Obj.data then
-      Obj.Tensor { dst with Obj.data = res }
+    if Tensor.numel res <= Tensor.numel dst.Obj.data then Obj.Tensor { dst with Obj.data = res }
     else err "upper-bound output larger than its bound"
   else
     err "kernel output shape %a does not match allocation %a" Shape.pp
@@ -429,7 +424,11 @@ let rec exec_func (vm : t) ?ctx ~depth (fi : int) (args : Obj.t array) : Obj.t =
         in
         let par_before = Nimble_parallel.Parallel.snapshot () in
         let t0 = now () in
-        let results = packed.Exe.run (Array.to_list (Array.map (fun p -> p.Obj.data) placed_ins)) in
+        let results =
+          packed.Exe.run
+            (Array.to_list (Array.map (fun p -> p.Obj.data) placed_ins))
+            (Array.map (fun p -> p.Obj.data) placed_outs)
+        in
         let dt = now () -. t0 in
         let par =
           Nimble_parallel.Parallel.diff ~before:par_before
@@ -472,15 +471,15 @@ let rec exec_func (vm : t) ?ctx ~depth (fi : int) (args : Obj.t array) : Obj.t =
                    Trace.Str
                      (shapes_arg
                         (Array.to_list (Array.map (fun p -> p.Obj.data) placed_ins))) );
-                 ("out_shapes", Trace.Str (shapes_arg results));
+                 ("out_shapes", Trace.Str (shapes_arg (Array.to_list results)));
                  ("upper_bound", Trace.Bool upper_bound);
                ]
               @ extra)
         | None -> ());
-        if List.length results <> Array.length outs then
+        if Array.length results <> Array.length outs then
           err "packed %s: %d results for %d outputs" packed.Exe.packed_name
-            (List.length results) (Array.length outs);
-        List.iteri
+            (Array.length results) (Array.length outs);
+        Array.iteri
           (fun i res -> regs.(outs.(i)) <- store_output ~upper_bound placed_outs.(i) res)
           results;
         incr pc

@@ -132,7 +132,7 @@ let test_reset_snapshots_concurrent () =
     "installed entries survive reset" (Some 4) (Dispatch.pretuned d ~extent:42)
 
 let test_last_selection_domain_local () =
-  let d = Dispatch.create ~name:"dls_test" ~tile:8 ~num_kernels:8 () in
+  let d = Dispatch.create ~name:"dls_test" ~num_kernels:8 () in
   let w = Tensor.randn rng [| out_dim; feature_dim |] in
   ignore (Dispatch.run d (Tensor.randn rng [| 3; feature_dim |]) w);
   let mine = Dispatch.last_selection () in

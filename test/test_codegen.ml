@@ -90,10 +90,10 @@ let test_lower_fused_primitive () =
   let kernel = Lower.lower ~name:"k" prim in
   let input = Tensor.randn rng [| 3; 6 |] in
   (* constants become primitive parameters during fusion *)
-  match kernel [ input; w ] with
-  | [ out ] ->
+  match kernel [ input; w ] [||] with
+  | [| out |] ->
       Alcotest.check tensor_eq "fused dense+relu" (Ops_elem.relu (Ops_matmul.dense input w)) out
-  | outs -> Alcotest.failf "expected one output, got %d" (List.length outs)
+  | outs -> Alcotest.failf "expected one output, got %d" (Array.length outs)
 
 let test_lower_wrong_arity_rejected () =
   let x = Expr.fresh_var ~ty:(Ty.tensor_of_shape [| 2 |]) "x" in
@@ -101,9 +101,122 @@ let test_lower_wrong_arity_rejected () =
   let kernel = Lower.lower ~name:"k" prim in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (kernel []);
+       ignore (kernel [] [||]);
        false
      with Lower.Lower_error _ -> true)
+
+(* A primitive whose elementwise chains interleave with resolved
+   operators: [a = tanh y] is computed in [c]'s chain after [dense], and
+   the last chain reads slices of [c] and of [softmax c]. *)
+let interleaved () =
+  let v name dims = Expr.fresh_var ~ty:(Ty.tensor_of_shape dims) name in
+  let x = v "x" [| 2; 6 |] and y = v "y" [| 2; 12 |] and w = v "w" [| 12; 6 |]
+  and b = v "b" [| 6 |] in
+  let lets = ref [] in
+  let bind name e =
+    let t = Expr.fresh_var name in
+    lets := (t, e) :: !lets;
+    Expr.Var t
+  in
+  let slice lo hi e =
+    Expr.op_call "strided_slice"
+      ~attrs:[ ("begins", Attrs.Ints [ 0; lo ]); ("ends", Attrs.Ints [ 2; hi ]) ]
+      [ e ]
+  in
+  let a = bind "a" (Expr.op_call "tanh" [ Expr.Var y ]) in
+  let g = bind "g" (Expr.op_call "dense" [ Expr.Var x; Expr.Var w ]) in
+  let c = bind "c" (Expr.op_call "multiply" [ a; g ]) in
+  let s = bind "s" (Expr.op_call ~attrs:[ ("axis", Attrs.Int (-1)) ] "softmax" [ c ]) in
+  let h = bind "h" (slice 3 9 c) in
+  let k = bind "k" (Expr.op_call "sigmoid" [ h ]) in
+  let e = bind "e" (Expr.op_call "bias_add" [ k; Expr.Var b ]) in
+  let t = bind "t" (slice 0 6 s) in
+  let out = bind "out" (Expr.op_call "multiply" [ e; t ]) in
+  Expr.fn_def [ x; y; w; b ] (Expr.lets (List.rev !lets) out)
+
+let interleaved_inputs () =
+  List.map (Tensor.randn rng) [ [| 2; 6 |]; [| 2; 12 |]; [| 12; 6 |]; [| 6 |] ]
+
+(* The per-operator evaluation the staged kernel replaces: every call
+   through [Trace.eval_op], in body order. *)
+let per_operator fn =
+  let run =
+    Lower.compile
+      ~error:(fun s -> Lower.Lower_error s)
+      ~name:"ref" ~const:Fun.id
+      ~call:(fun callee attrs ->
+        let op = match callee with Expr.Op op -> op | _ -> assert false in
+        fun ins -> Lower.outputs (Trace.eval_op op ~attrs ins))
+      fn
+  in
+  fun ins -> match run ins with Lower.Leaf t -> t | Lower.Tuple _ -> assert false
+
+let test_staged_writes_destination () =
+  let fn = interleaved () and ins = interleaved_inputs () in
+  let dst = Tensor.empty [| 2; 6 |] in
+  let outs = Lower.lower ~name:"k" fn ins [| dst |] in
+  Alcotest.(check bool) "output is the destination" true (outs.(0) == dst);
+  Alcotest.check tensor_bits "bitwise = per-operator" (per_operator fn ins) dst;
+  match Lower.lower ~name:"k" fn ins [||] with
+  | [| fresh |] -> Alcotest.check tensor_bits "fresh output" dst fresh
+  | outs -> Alcotest.failf "expected one output, got %d" (Array.length outs)
+
+let test_staged_destination_checks () =
+  let fn = interleaved () and ins = interleaved_inputs () in
+  let kernel = Lower.lower ~name:"k" fn in
+  let raises name dsts =
+    Alcotest.(check bool) name true
+      (try
+         ignore (kernel ins dsts);
+         false
+       with Lower.Lower_error _ -> true)
+  in
+  raises "destination is an input" [| List.nth ins 1 |];
+  raises "wrong destination dtype" [| Tensor.empty ~dtype:Dtype.F64 [| 2; 6 |] |];
+  (* an output of another extent comes back in the destination's place,
+     for the VM to accept (an upper-bound output) or reject *)
+  let bound = Tensor.empty [| 2; 7 |] in
+  match kernel ins [| bound |] with
+  | [| out |] ->
+      Alcotest.(check bool) "bound not written" true (out != bound);
+      Alcotest.check tensor_bits "exact output" (per_operator fn ins) out
+  | outs -> Alcotest.failf "expected one output, got %d" (Array.length outs)
+
+let test_staged_integer_chain () =
+  (* each integer node stores its values as an integer tensor would: 7/2
+     is 3 before the add, so the output is 3 + 2, not 3.5 + 2 *)
+  let v name dims = Expr.fresh_var ~ty:(Ty.tensor_of_shape ~dtype:Dtype.I64 dims) name in
+  let x = v "x" [| 2; 3 |] and y = v "y" [| 3 |] in
+  let q = Expr.fresh_var "q" in
+  let fn =
+    Expr.fn_def [ x; y ]
+      (Expr.Let
+         ( q,
+           Expr.op_call "divide" [ Expr.Var x; Expr.Var y ],
+           Expr.op_call "add" [ Expr.Var q; Expr.Var y ] ))
+  in
+  let ins =
+    [
+      Tensor.of_int_array [| 2; 3 |] [| 7; -7; 9; 0; 5; -3 |];
+      Tensor.of_int_array [| 3 |] [| 2; 4; -2 |];
+    ]
+  in
+  let dst = Tensor.empty ~dtype:Dtype.I64 [| 2; 3 |] in
+  ignore (Lower.lower ~name:"k" fn ins [| dst |]);
+  Alcotest.check tensor_bits "bitwise = per-operator" (per_operator fn ins) dst;
+  Alcotest.(check (array int)) "values" [| 5; 3; -6; 2; 5; -1 |] (Tensor.to_int_array dst)
+
+let test_staged_events () =
+  let fn = interleaved () and ins = interleaved_inputs () in
+  let record f =
+    let events = ref [] in
+    Trace.with_listener (fun ev -> events := ev :: !events) (fun () -> ignore (f ()));
+    List.rev !events
+  in
+  let staged = record (fun () -> Lower.lower ~name:"k" fn ins [| Tensor.empty [| 2; 6 |] |]) in
+  let reference = record (fun () -> per_operator fn ins) in
+  Alcotest.(check int) "one event per operator" 9 (List.length staged);
+  Alcotest.(check bool) "same events in the same order" true (staged = reference)
 
 let test_composed_shape_function () =
   (* the shape function of a fused group composes member shape funcs (§4.2) *)
@@ -193,6 +306,12 @@ let () =
           Alcotest.test_case "fused primitive" `Quick test_lower_fused_primitive;
           Alcotest.test_case "arity check" `Quick test_lower_wrong_arity_rejected;
           Alcotest.test_case "composed shape function" `Quick test_composed_shape_function;
+          Alcotest.test_case "staged kernel writes its destination" `Quick
+            test_staged_writes_destination;
+          Alcotest.test_case "staged kernel checks destinations" `Quick
+            test_staged_destination_checks;
+          Alcotest.test_case "staged kernel trace events" `Quick test_staged_events;
+          Alcotest.test_case "staged integer chain" `Quick test_staged_integer_chain;
         ] );
       ("tuner", [ Alcotest.test_case "protocol" `Quick test_tuner_runs_protocol ]);
       ( "op_eval",

@@ -240,6 +240,20 @@ let test_closure () =
   Alcotest.check tensor_eq "closure capture" (Ops_elem.add xv xv)
     (Interp.run_tensors vm [ xv ])
 
+(* --- compiling leaves the module as it was ------------------------------ *)
+let test_compile_keeps_module () =
+  List.iter
+    (fun (m : Nimble_workloads.Zoo.model) ->
+      let bytes ?options ir = Nimble_vm.Serialize.to_bytes (Nimble.compile ?options ir) in
+      let ir = m.build () in
+      ignore (bytes ir);
+      ignore (bytes ~options:{ Nimble.default_options with Nimble.fuse = false } ir);
+      Alcotest.(check bool)
+        (Fmt.str "%s: third compile = fresh build" m.name)
+        true
+        (String.equal (bytes ir) (bytes (m.build ()))))
+    Nimble_workloads.Zoo.models
+
 let () =
   Alcotest.run "compiler"
     [
@@ -256,5 +270,7 @@ let () =
           Alcotest.test_case "compile report" `Quick test_report;
           Alcotest.test_case "static executor" `Quick test_static_executor;
           Alcotest.test_case "closure capture" `Quick test_closure;
+          Alcotest.test_case "compile leaves the module as it was" `Quick
+            test_compile_keeps_module;
         ] );
     ]

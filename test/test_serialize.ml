@@ -99,12 +99,12 @@ let test_packed_names_and_relink () =
   in
   let back = roundtrip exe in
   Alcotest.(check bool) "unlinked after load" false (Exe.linked back);
-  Exe.link back { Exe.packed_name = "k1"; kind = `Kernel; mode = None; run = (fun x -> x); dispatch = None };
-  Exe.link back { Exe.packed_name = "k1$shape"; kind = `Shape_func; mode = Some "data_indep"; run = (fun x -> x); dispatch = None };
+  Exe.link back { Exe.packed_name = "k1"; kind = `Kernel; mode = None; run = (fun _ d -> d); dispatch = None };
+  Exe.link back { Exe.packed_name = "k1$shape"; kind = `Shape_func; mode = Some "data_indep"; run = (fun _ d -> d); dispatch = None };
   Alcotest.(check bool) "linked" true (Exe.linked back);
   Alcotest.check_raises "unknown name"
     (Invalid_argument "Exe.link: executable has no packed function nope") (fun () ->
-      Exe.link back { Exe.packed_name = "nope"; kind = `Kernel; mode = None; run = (fun x -> x); dispatch = None })
+      Exe.link back { Exe.packed_name = "nope"; kind = `Kernel; mode = None; run = (fun _ d -> d); dispatch = None })
 
 let test_compiled_module_roundtrip_and_run () =
   (* full flow: compile -> serialize -> load -> relink -> run *)

@@ -458,21 +458,23 @@ let oracle_case seed =
   let case label fresh oracle = { label; fresh; oracle } in
   match Rng.int r 11 with
   | 0 ->
-      let name, f, out_dtype =
+      let name, op, f, out_dtype =
         pick
-          [
-            ("add", ( +. ), None); ("subtract", ( -. ), None); ("multiply", ( *. ), None);
-            ("divide", (fun x y -> if y = 0.0 then Float.nan else x /. y), None);
-            ("maximum", Float.max, None); ("power", Float.pow, None);
-            ("less", (fun x y -> if x < y then 1.0 else 0.0), Some Dtype.U8);
-            ("equal", (fun x y -> if x = y then 1.0 else 0.0), Some Dtype.U8);
-          ]
+          Ops_elem.
+            [
+              ("add", Add, ( +. ), None); ("subtract", Sub, ( -. ), None);
+              ("multiply", Mul, ( *. ), None);
+              ("divide", Div, (fun x y -> if y = 0.0 then Float.nan else x /. y), None);
+              ("maximum", Max, Float.max, None); ("power", Pow, Float.pow, None);
+              ("less", Lt, (fun x y -> if x < y then 1.0 else 0.0), Some Dtype.U8);
+              ("equal", Eq, (fun x y -> if x = y then 1.0 else 0.0), Some Dtype.U8);
+            ]
       in
       let s = shape () in
       let a = tensor (dtype ()) (broadcast_from s) and b = tensor (dtype ()) s in
       let a, b = if Rng.int r 2 = 0 then (a, b) else (b, a) in
       case (Fmt.str "binop %s %s" name (shows [ a; b ]))
-        (fun () -> [ Ops_elem.binop ?out_dtype name f a b ])
+        (fun () -> [ Ops_elem.binop op a b ])
         (fun () -> [ Index_loops.binop ?out_dtype name f a b ])
   | 1 ->
       let s = shape () in
